@@ -13,14 +13,15 @@ from usev.gradcheck import format_report, run_gradcheck
 # A scalar loss through a few ops; backward fills .grad on the leaves.
 x = ad.Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
 w = ad.Tensor(np.array([[0.2, 0.1], [-0.3, 0.4]]), requires_grad=True)
-loss = (ad.tanh(x @ w) * ad.relu(x)).sum()
+z = x @ w
+loss = (ad.log(z * z + 1.0) * ad.relu(x)).sum()
 loss.backward()
 print("toy loss:", loss.item())
 print("dloss/dx:\n", x.grad)
 print("dloss/dw:\n", w.grad)
 
 # Chunk segmentation: split [B, T] into half-overlapping chunks and invert
-# exactly (count-normalized overlap-add).
+# exactly (overlap-add, halved: every sample lies under two chunks).
 sig = ad.Tensor(np.arange(22.0).reshape(2, 11))
 chunks = ad.segment_chunks(sig, 6)
 back = ad.aggregate_chunks(chunks, 11)

@@ -15,6 +15,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .dsp import add_frames, gather_frames
+
 LN_EPS = 1e-8  # layer-norm variance stabilizer
 
 
@@ -90,9 +92,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -218,27 +217,6 @@ def div(a, b) -> Tensor:
     return _node(out_data, (a, b), bwd, "div")
 
 
-def power(a, p: float) -> Tensor:
-    a = _coerce(a)
-    p = float(p)
-    out_data = a.data ** p
-
-    def bwd(g):
-        _acc(a, g * p * a.data ** (p - 1.0))
-
-    return _node(out_data, (a,), bwd, "pow")
-
-
-def exp(a) -> Tensor:
-    a = _coerce(a)
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        _acc(a, g * out_data)
-
-    return _node(out_data, (a,), bwd, "exp")
-
-
 def log(a) -> Tensor:
     a = _coerce(a)
     out_data = np.log(a.data)
@@ -286,26 +264,6 @@ def prelu(a, slope) -> Tensor:
         _acc(slope, np.sum(g * np.where(pos, 0.0, a.data)).reshape(slope.shape))
 
     return _node(out_data, (a, slope), bwd, "prelu")
-
-
-def sigmoid(a) -> Tensor:
-    a = _coerce(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bwd(g):
-        _acc(a, g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (a,), bwd, "sigmoid")
-
-
-def tanh(a) -> Tensor:
-    a = _coerce(a)
-    out_data = np.tanh(a.data)
-
-    def bwd(g):
-        _acc(a, g * (1.0 - out_data * out_data))
-
-    return _node(out_data, (a,), bwd, "tanh")
 
 
 # -- shape and indexing -------------------------------------------------------
@@ -527,17 +485,6 @@ def layer_norm(x, gain, bias, axis: int = 0, eps: float = LN_EPS) -> Tensor:
     return add(mul(normed, gain), bias)
 
 
-def global_layer_norm(x, gain=None, bias=None, eps: float = LN_EPS) -> Tensor:
-    """Normalize over all elements at once; gain/bias optional."""
-    mu = smean(x)
-    centered = sub(x, mu)
-    var = smean(mul(centered, centered))
-    normed = div(centered, sqrt(add(var, eps)))
-    if gain is not None:
-        normed = add(mul(normed, gain), bias)
-    return normed
-
-
 # -- recurrence ----------------------------------------------------------------------
 
 def lstm_cell(xt, h, c, wx, wh, b):
@@ -640,64 +587,52 @@ def segment_chunks(x, chunk: int) -> Tensor:
     x = _coerce(x)
     if x.ndim != 2:
         raise ValueError(f"segment_chunks expects [B, T], got {x.shape}")
-    b, t_len = x.shape
-    hop, _, total, num = chunk_geometry(t_len, chunk)
-    xp = np.zeros((b, total))
-    xp[:, hop : hop + t_len] = x.data
-    out_data = np.stack([xp[:, p * hop : p * hop + chunk] for p in range(num)], axis=2)
+    t_len = x.shape[1]
+    hop, gap, _, _ = chunk_geometry(t_len, chunk)
+    xp = np.pad(x.data, ((0, 0), (hop, hop + gap)))
 
     def bwd(g):
-        gp = np.zeros((b, total))
-        for p in range(num):
-            gp[:, p * hop : p * hop + chunk] += g[:, :, p]
-        _acc(x, gp[:, hop : hop + t_len])
+        _acc(x, add_frames(g.transpose(0, 2, 1), hop)[:, hop : hop + t_len])
 
-    return _node(out_data, (x,), bwd, "segment_chunks")
+    return _node(_chunk_gather(xp, chunk), (x,), bwd, "segment_chunks")
 
 
 def aggregate_chunks(y, out_len: int) -> Tensor:
-    """Inverse of segment_chunks: count-normalized overlap-add back to [B, out_len]."""
+    """Inverse of segment_chunks: overlap-add back to [B, out_len], halved,
+    since every kept position lies under exactly two chunks."""
     y = _coerce(y)
     if y.ndim != 3:
         raise ValueError(f"aggregate_chunks expects [B, K, P], got {y.shape}")
-    b, chunk, num = y.shape
-    hop, _, total, expected = chunk_geometry(out_len, chunk)
+    _, chunk, num = y.shape
+    hop, gap, _, expected = chunk_geometry(out_len, chunk)
     if num != expected:
         raise ValueError(
             f"{num} chunks of size {chunk} do not aggregate to length {out_len}"
         )
-    counts = np.zeros(total)
-    for p in range(num):
-        counts[p * hop : p * hop + chunk] += 1.0
-    acc = np.zeros((b, total))
-    for p in range(num):
-        acc[:, p * hop : p * hop + chunk] += y.data[:, :, p]
-    acc /= counts
-    out_data = acc[:, hop : hop + out_len]
+    out_data = add_frames(y.data.transpose(0, 2, 1), hop)[:, hop : hop + out_len] * 0.5
 
     def bwd(g):
-        ge = np.zeros((b, total))
-        ge[:, hop : hop + out_len] = g
-        ge /= counts
-        dy = np.stack([ge[:, p * hop : p * hop + chunk] for p in range(num)], axis=2)
-        _acc(y, dy)
+        ge = np.pad(g * 0.5, ((0, 0), (hop, hop + gap)))
+        _acc(y, _chunk_gather(ge, chunk))
 
     return _node(out_data, (y,), bwd, "aggregate_chunks")
+
+
+def _chunk_gather(xp: np.ndarray, chunk: int) -> np.ndarray:
+    """[B, total] -> [B, chunk, P] half-overlapping chunks. C-contiguous on
+    purpose: a transposed view holds the same values, but BLAS then rounds
+    the downstream products differently."""
+    return np.ascontiguousarray(gather_frames(xp, chunk, chunk // 2).transpose(0, 2, 1))
 
 
 def overlap_add_frames(frames, hop: int) -> Tensor:
     """Sum frames [T, L] into a waveform [(T-1)*hop + L]; the decoder's OnA."""
     frames = _coerce(frames)
-    num, flen = frames.shape
-    out_data = np.zeros((num - 1) * hop + flen)
-    for t in range(num):
-        out_data[t * hop : t * hop + flen] += frames.data[t]
 
     def bwd(g):
-        df = np.stack([g[t * hop : t * hop + flen] for t in range(num)], axis=0)
-        _acc(frames, df)
+        _acc(frames, gather_frames(g, frames.shape[1], hop))
 
-    return _node(out_data, (frames,), bwd, "overlap_add")
+    return _node(add_frames(frames.data, hop), (frames,), bwd, "overlap_add")
 
 
 @contextmanager

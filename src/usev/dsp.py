@@ -57,6 +57,27 @@ class FrameMatrix:
         return self.frames.shape[0]
 
 
+def gather_frames(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """Frames of the last axis: [..., n] -> [..., T, frame_len], a copy with
+    row t = x[..., t*hop : t*hop + frame_len] and
+    T = floor((n - frame_len)/hop) + 1."""
+    num = (x.shape[-1] - frame_len) // hop + 1
+    return x[..., hop * np.arange(num)[:, None] + np.arange(frame_len)]
+
+
+def add_frames(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Overlap-add of the last two axes: [..., T, L] -> [..., (T-1)*hop + L].
+    Loops over the ceil(L/hop) hop-wide offsets inside a frame, highest
+    first, so every output sample sums its frames in frame order."""
+    *lead, num, flen = frames.shape
+    n_off = -(-flen // hop)
+    out = np.zeros((*lead, num + n_off - 1, hop))
+    for j in reversed(range(n_off)):
+        width = min(hop, flen - j * hop)
+        out[..., j : j + num, :width] += frames[..., j * hop : j * hop + width]
+    return out.reshape(*lead, -1)[..., : (num - 1) * hop + flen]
+
+
 def frame_signal(clip: AudioClip, frame_len: int, hop: int) -> FrameMatrix:
     """Slice a clip into T = floor((n - frame_len)/hop) + 1 overlapping frames.
 
@@ -72,9 +93,8 @@ def frame_signal(clip: AudioClip, frame_len: int, hop: int) -> FrameMatrix:
         raise ValueError(
             f"signal of {len(x)} samples is shorter than one frame ({frame_len})"
         )
-    num = (len(x) - frame_len) // hop + 1
-    idx = hop * np.arange(num)[:, None] + np.arange(frame_len)[None, :]
-    return FrameMatrix(x[idx], frame_len, hop, clip.sample_rate)
+    return FrameMatrix(gather_frames(x, frame_len, hop), frame_len, hop,
+                       clip.sample_rate)
 
 
 def overlap_add(frames: FrameMatrix, hop: int | None = None) -> AudioClip:
@@ -84,11 +104,7 @@ def overlap_add(frames: FrameMatrix, hop: int | None = None) -> AudioClip:
     mat = np.asarray(frames.frames, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] < 1:
         raise ValueError(f"frames must be a non-empty 2-D matrix, got {mat.shape}")
-    num, flen = mat.shape
-    out = np.zeros((num - 1) * hop + flen)
-    for t in range(num):
-        out[t * hop : t * hop + flen] += mat[t]
-    return AudioClip(out, frames.sample_rate)
+    return AudioClip(add_frames(mat, hop), frames.sample_rate)
 
 
 def energy(x) -> float:

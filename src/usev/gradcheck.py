@@ -100,14 +100,12 @@ def _check_elementwise(seed, tamper=False):
         {"a": a, "b": b, "c": c}, tamper=tamper)
 
 
-def _check_pow_exp_log_sqrt(seed, tamper=False):
+def _check_log_sqrt(seed, tamper=False):
     rng = np.random.default_rng(seed)
     proj = _projector(rng)
     x = rng.uniform(0.5, 2.0, size=(2, 5))
-    return fd_check(
-        lambda t: proj(ad.power(t["x"], 1.7) + ad.exp(t["x"])
-                           + ad.log(t["x"]) + ad.sqrt(t["x"])),
-        {"x": x}, tamper=tamper)
+    return fd_check(lambda t: proj(ad.log(t["x"]) + ad.sqrt(t["x"])),
+                    {"x": x}, tamper=tamper)
 
 
 def _check_relu(seed, tamper=False):
@@ -125,15 +123,6 @@ def _check_prelu(seed, tamper=False):
     a = np.array(rng.uniform(0.1, 0.5))
     return fd_check(lambda t: proj(ad.prelu(t["x"], t["a"])),
                     {"x": x, "a": a}, tamper=tamper)
-
-
-def _check_sigmoid_tanh(seed, tamper=False):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
-    x = rng.standard_normal((3, 5))
-    return fd_check(
-        lambda t: proj(ad.sigmoid(t["x"]) * ad.tanh(t["x"])),
-        {"x": x}, tamper=tamper)
 
 
 def _check_matmul_linear(seed, tamper=False):
@@ -189,17 +178,6 @@ def _check_layer_norm(seed, tamper=False):
     b = rng.standard_normal((5, 1))
     return fd_check(
         lambda t: proj(ad.layer_norm(t["x"], t["g"], t["b"], axis=0)),
-        {"x": x, "g": g, "b": b}, tamper=tamper)
-
-
-def _check_global_layer_norm(seed, tamper=False):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
-    x = rng.standard_normal((4, 6))
-    g = rng.uniform(0.5, 1.5, size=(4, 1))
-    b = rng.standard_normal((4, 1))
-    return fd_check(
-        lambda t: proj(ad.global_layer_norm(t["x"], t["g"], t["b"])),
         {"x": x, "g": g, "b": b}, tamper=tamper)
 
 
@@ -298,16 +276,14 @@ def _check_overlap_add(seed, tamper=False):
 
 OP_CHECKS = {
     "elementwise(add,sub,mul,div)": _check_elementwise,
-    "pow/exp/log/sqrt": _check_pow_exp_log_sqrt,
+    "log/sqrt": _check_log_sqrt,
     "relu": _check_relu,
     "prelu": _check_prelu,
-    "sigmoid/tanh": _check_sigmoid_tanh,
     "matmul/linear": _check_matmul_linear,
     "conv1d": _check_conv1d,
     "conv1d(depthwise)": _check_conv1d_depthwise,
     "conv1d(grouped)": _check_conv1d_grouped,
     "layer_norm": _check_layer_norm,
-    "global_layer_norm": _check_global_layer_norm,
     "sum/mean/reshape/transpose/pad/concat/stack": _check_reductions_shapes,
     "slice/index_select": _check_slice_index,
     "lstm_cell": _check_lstm_cell,

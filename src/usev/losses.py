@@ -1,10 +1,11 @@
 """Training objectives over scenario-labeled clips.
 
-Two parallel routes compute the same formulas: plain-numpy functions that
-return floats (used for evaluation and as the reference in tests), and
-graph-building functions over autodiff Tensors (used for training). The
+Each formula is written once, as a graph builder over autodiff Tensors
+(`tensor_loss_*`, used for training). The float functions (`loss_*`, used
+for validation and evaluation) evaluate the same builders on a constant
+Tensor, which folds every op to a constant and builds no graph. The
 per-kind losses only ever see sums of squares, so samples of one kind are
-combined with boolean masks; concatenation order cannot matter.
+combined with 0/1 masks; concatenation order cannot matter.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ EPS = 1e-8
 # Scenario kinds where the target is speaking take the reconstruction loss,
 # the quiet-target kinds take the output-energy loss.
 SDR_KINDS = ("SQ", "SS")
-ENERGY_KINDS = ("QQ", "QS")
 
 
 @dataclass(frozen=True)
@@ -53,61 +53,38 @@ def _pair(est, ref) -> tuple[np.ndarray, np.ndarray]:
     return e, r
 
 
+# -- float values: the graph builders below, evaluated on constants -------------
+
 def loss_uniform(est, ref) -> float:
+    e, r = _pair(est, ref)
+    return tensor_loss_uniform(ad.Tensor(e), r).item()
+
+
+def loss_sdr(est, ref) -> float:
+    e, r = _pair(est, ref)
+    return tensor_loss_sdr(ad.Tensor(e), r).item()
+
+
+def loss_energy(est) -> float:
+    return tensor_loss_energy(ad.Tensor(_samples(est))).item()
+
+
+def loss_differentiated(est, ref, track: ScenarioTrack,
+                        weights: LossWeights = LossWeights()) -> float:
+    e, r = _pair(est, ref)
+    if len(e) != track.clip_len:
+        raise ValueError(f"clip length {len(e)} != track length {track.clip_len}")
+    return tensor_loss_differentiated(ad.Tensor(e), r, track, weights).item()
+
+
+# -- graph builders: every formula lives here ------------------------------------
+
+def tensor_loss_uniform(est: ad.Tensor, ref) -> ad.Tensor:
     """-10*log10((||s||^2 + eps) / (||s_hat - s||^2 + eps)).
 
     The eps in the numerator turns the loss into energy minimization when the
     target is silent, while still maximizing SDR when it speaks.
     """
-    e, r = _pair(est, ref)
-    num = np.dot(r, r) + EPS
-    den = np.dot(e - r, e - r) + EPS
-    return float(-10.0 * np.log10(num / den))
-
-
-def loss_sdr(est, ref) -> float:
-    """-10*log10(||s||^2 / (||s_hat - s||^2 + eps) + eps); scale-sensitive."""
-    e, r = _pair(est, ref)
-    return float(-10.0 * np.log10(
-        np.dot(r, r) / (np.dot(e - r, e - r) + EPS) + EPS))
-
-
-def loss_energy(est) -> float:
-    """10*log10(||s_hat||^2 + eps); minimized where the target is quiet."""
-    e = _samples(est)
-    return float(10.0 * np.log10(np.dot(e, e) + EPS))
-
-
-def loss_differentiated(est, ref, track: ScenarioTrack,
-                        weights: LossWeights = LossWeights()) -> float:
-    """Weighted per-scenario loss over one clip.
-
-    All samples of a kind are pooled across the clip; SQ/SS take the SDR
-    loss, QQ/QS the energy loss. Kinds absent from the track contribute 0.
-    """
-    e, r = _pair(est, ref)
-    if len(e) != track.clip_len:
-        raise ValueError(f"clip length {len(e)} != track length {track.clip_len}")
-    total = 0.0
-    for kind in KINDS:
-        w = weights.for_kind(kind)
-        mask = track.kind_mask(kind)
-        if not mask.any():
-            continue
-        if kind in SDR_KINDS:
-            if not np.any(r[mask]):
-                raise ValueError(
-                    f"zero-energy reference on a {kind} segment; activity "
-                    "masks and scenario labels disagree")
-            total += w * loss_sdr(e[mask], r[mask])
-        else:
-            total += w * loss_energy(e[mask])
-    return total
-
-
-# -- autodiff graph versions -----------------------------------------------------
-
-def tensor_loss_uniform(est: ad.Tensor, ref) -> ad.Tensor:
     r = _samples(ref)
     diff = est - r
     num = float(np.dot(r, r)) + EPS
@@ -116,6 +93,8 @@ def tensor_loss_uniform(est: ad.Tensor, ref) -> ad.Tensor:
 
 
 def tensor_loss_sdr(est: ad.Tensor, ref, mask=None) -> ad.Tensor:
+    """-10*log10(||s||^2 / (||s_hat - s||^2 + eps) + eps); scale-sensitive.
+    A 0/1 `mask` restricts both sums to the samples it keeps."""
     r = _samples(ref)
     diff = est - r
     if mask is not None:
@@ -126,6 +105,7 @@ def tensor_loss_sdr(est: ad.Tensor, ref, mask=None) -> ad.Tensor:
 
 
 def tensor_loss_energy(est: ad.Tensor, mask=None) -> ad.Tensor:
+    """10*log10(||s_hat||^2 + eps); minimized where the target is quiet."""
     if mask is not None:
         est = est * mask
     return ad.log10((est * est).sum() + EPS) * 10.0
@@ -133,29 +113,31 @@ def tensor_loss_energy(est: ad.Tensor, mask=None) -> ad.Tensor:
 
 def tensor_loss_differentiated(est: ad.Tensor, ref, track: ScenarioTrack,
                                weights: LossWeights = LossWeights()) -> ad.Tensor:
-    """Differentiated loss as a graph node over the model output.
+    """Weighted per-scenario loss over one clip, as a graph node.
 
-    Masked sums of squares make the per-kind terms exact: the gradient on a
-    sample of some other kind is identically zero, not just small.
+    All samples of a kind are pooled across the clip; SQ/SS take the SDR
+    loss, QQ/QS the energy loss. Kinds absent from the track or weighted 0
+    contribute nothing. Masked sums of squares make the per-kind terms exact:
+    the gradient on a sample of some other kind is identically zero, not
+    just small.
     """
     r = _samples(ref)
     terms = []
     for kind in KINDS:
         w = weights.for_kind(kind)
-        mask = track.kind_mask(kind).astype(np.float64)
-        if not mask.any() or w == 0.0:
+        mask = track.kind_mask(kind)
+        if not mask.any():
+            continue
+        if kind in SDR_KINDS and not np.any(r[mask]):
+            raise ValueError(
+                f"zero-energy reference on a {kind} segment; activity "
+                "masks and scenario labels disagree")
+        if w == 0.0:
             continue
         if kind in SDR_KINDS:
-            if not np.any(r[mask.astype(bool)]):
-                raise ValueError(
-                    f"zero-energy reference on a {kind} segment; activity "
-                    "masks and scenario labels disagree")
             terms.append(tensor_loss_sdr(est, r, mask=mask) * w)
         else:
             terms.append(tensor_loss_energy(est, mask=mask) * w)
     if not terms:
         return ad.Tensor(0.0)
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total
+    return sum(terms[1:], terms[0])

@@ -10,7 +10,6 @@ effective-visual-cue breakdown.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,10 +256,3 @@ def write_report(report: ReportTables, out_dir) -> None:
             w.writerow([entry["lo"], entry["hi"], entry["count"]]
                        + [entry.get(k, "") for k in KINDS])
 
-
-def report_to_string(report: ReportTables) -> str:
-    buf = io.StringIO()
-    buf.write(report.clip_table_text())
-    buf.write("\n\n")
-    buf.write(report.kind_table_text())
-    return buf.getvalue()

@@ -329,7 +329,7 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
                 break
             utt = bank.get(idx)
             c0 = int(rng.integers(0, len(utt.clip) - clip_len + 1))
-            if not utt.activity[c0 : c0 + clip_len].any():
+            if not utt.clip.samples[c0 : c0 + clip_len].any():
                 continue
             speakers.append(bank.speaker_of(idx))
             sources.append(idx)
@@ -414,6 +414,12 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
                            snrs, draw_noise(), False, clip_len, draw_seed())
         dist = _bucket_distance(actual, desired)
         if best is None or dist < best[0]:
+            # A raised-cosine ramp edge is marked active yet can be exactly
+            # 0.0, so a crop must be audible in its samples, not its mask.
+            parts = [(t_idx, (t0, clip_len)), *zip(sources, crops)]
+            if not all(bank.get(i).clip.samples[c0 : c0 + n].any()
+                       for i, (c0, n) in parts):
+                continue
             best = (dist, spec)
         if dist == 0:
             break

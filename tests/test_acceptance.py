@@ -321,6 +321,7 @@ def test_criterion_6_simulation_soundness():
 
 # -- criterion 7: desk-scale overfit ------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_overfit():
     t0 = time.time()
     # Loud interference and noise give the mixture a solid QQ/QS power

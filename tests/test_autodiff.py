@@ -34,7 +34,7 @@ class TestBackwardBasics:
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         a = ad.relu(x)
-        b = ad.sigmoid(x)
+        b = ad.sqrt(x * x + 1.0)
         c = (a + b) * a  # diamond: a consumed twice
         loss = c.sum()
         order = ad.toposort(loss)
@@ -48,7 +48,7 @@ class TestBackwardBasics:
             rng = np.random.default_rng(42)
             x = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
             w = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
-            loss = (ad.tanh(x @ w) * ad.sigmoid(x)).sum()
+            loss = (ad.relu(x @ w) * ad.log(x * x + 1.0)).sum()
             loss.backward()
             return x.grad.copy(), w.grad.copy()
 
@@ -107,13 +107,6 @@ class TestOpForwards:
         x = Tensor(np.zeros((4, 3)))
         out = ad.layer_norm(x, Tensor(np.ones((4, 1))), Tensor(np.zeros((4, 1))))
         np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
-
-    def test_global_layer_norm_standardizes(self):
-        rng = np.random.default_rng(1)
-        x = Tensor(rng.standard_normal((6, 50)))
-        out = ad.global_layer_norm(x)
-        assert abs(out.data.mean()) < 1e-10
-        assert out.data.std() == pytest.approx(1.0, abs=1e-4)
 
     def test_matmul_requires_2d(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from usev.audio_io import read_raw_f32, read_wav, write_raw_f32, write_wav
-from usev.dsp import (AudioClip, energy, frame_signal, measure_snr_db,
-                      overlap_add, scale_to_snr)
+from usev.dsp import (AudioClip, FrameMatrix, add_frames, energy, frame_signal,
+                      gather_frames, measure_snr_db, overlap_add, scale_to_snr)
 
 
 def clip(samples, sr=16000):
@@ -75,10 +75,36 @@ class TestOverlapAdd:
             fm = frame_signal(x, flen, hop)
             y = rng.standard_normal(fm.frames.shape)
             lhs = float(np.sum(fm.frames * y))
-            from usev.dsp import FrameMatrix
             ola = overlap_add(FrameMatrix(y, flen, hop, x.sample_rate), hop)
             rhs = float(np.dot(x.samples[: len(ola)], ola.samples))
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+class TestFramingKernels:
+    def test_leading_axes_match_row_by_row(self):
+        rng = np.random.default_rng(8)
+        frames = rng.standard_normal((2, 3, 7, 10))
+        out = add_frames(frames, 5)
+        assert out.shape == (2, 3, 6 * 5 + 10)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(out[i, j], add_frames(frames[i, j], 5))
+        x = rng.standard_normal((2, 3, 40))
+        got = gather_frames(x, 10, 5)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(got[i, j], gather_frames(x[i, j], 10, 5))
+
+    def test_hop_not_dividing_frame_len_is_exact(self):
+        # Integer data sums exactly, so the kernel must equal the
+        # frame-by-frame definition bit for bit.
+        rng = np.random.default_rng(9)
+        for flen, hop in ((7, 3), (10, 4), (5, 2), (3, 5)):
+            frames = rng.integers(-50, 50, size=(6, flen)).astype(np.float64)
+            want = np.zeros(5 * hop + flen)
+            for t in range(6):
+                want[t * hop : t * hop + flen] += frames[t]
+            assert np.array_equal(add_frames(frames, hop), want)
 
 
 class TestEnergy:

@@ -150,9 +150,16 @@ class TestDifferentiated:
 
     def test_zero_energy_reference_on_speech_segment_raises(self):
         n = 50
-        track = label_scenarios(np.ones(n, bool), np.zeros(n, bool))
+        track = label_scenarios(np.ones(n, bool), np.zeros(n, bool))  # all SQ
         with pytest.raises(ValueError):
             loss_differentiated(np.ones(n), np.zeros(n), track, LossWeights())
+        # The check runs for every present SQ/SS kind, weighted or not.
+        unweighted = LossWeights(1.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="zero-energy reference on a SQ"):
+            loss_differentiated(np.ones(n), np.zeros(n), track, unweighted)
+        with pytest.raises(ValueError, match="zero-energy reference on a SQ"):
+            tensor_loss_differentiated(ad.Tensor(np.ones(n), requires_grad=True),
+                                       np.zeros(n), track, unweighted)
 
     def test_sdr_monotone_in_error(self):
         rng = np.random.default_rng(4)

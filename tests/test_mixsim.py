@@ -265,6 +265,20 @@ class TestPlannerAndCorpus:
             high += b == "(80,100]%"
         assert zero >= 1 and high >= 1
 
+    def test_ramp_edge_crops_are_never_planned(self):
+        # These desk corpora once planned a crop whose only active sample
+        # was a zero-valued raised-cosine ramp edge; simulation then failed.
+        desk = SimConfig(sample_rate=8000, clip_s=(0.92, 1.0),
+                         utterance_s=(3.0, 4.0), n_utterances=8, n_speakers=4,
+                         snr_db=(-10.0, -6.0), noisy=True,
+                         noise_snr_db=(-5.0, 5.0))
+        for seed in (13000, 17007):
+            records = list(iter_corpus(desk, 8, seed, occlusion=(0.0, 0.0)))
+            assert len(records) == 8
+            for rec in records:
+                for j in range(len(rec.spec.interference_sources)):
+                    assert energy(rec.components[f"interference_{j}"]) > 0
+
     def test_overlapped_corpus_mostly_ss(self):
         cfg = SimConfig(utterance_s=(4.0, 6.0), clip_s=(3.0, 4.0),
                         n_utterances=8)

@@ -29,14 +29,14 @@ print("\nchunks shape:", chunks.shape,
       "(P = 2*ceil(T/hop)/2 + 1 on the padded grid)")
 print("round-trip max error:", np.max(np.abs(back.data - sig.data)))
 
-# The LSTM step is a fused primitive; one step on a batch of 3:
+# The bidirectional LSTM is one fused node over the whole sequence:
+# T=6 steps, a batch of 3, 4 input features, hidden size 5 per direction.
 rng = np.random.default_rng(0)
-h, c = ad.lstm_cell(ad.Tensor(rng.standard_normal((3, 4))),
-                    ad.Tensor(np.zeros((3, 5))), ad.Tensor(np.zeros((3, 5))),
-                    ad.Tensor(rng.standard_normal((4, 20)) * 0.3),
-                    ad.Tensor(rng.standard_normal((5, 20)) * 0.3),
-                    ad.Tensor(np.zeros(20)))
-print("\nlstm cell output:", h.shape, "cell state:", c.shape)
+weights = [ad.Tensor(rng.standard_normal(shape) * 0.3, requires_grad=True)
+           for shape in ((4, 20), (5, 20), (20,)) * 2]
+seq = ad.bilstm(ad.Tensor(rng.standard_normal((6, 3, 4))), *weights)
+print("\nbilstm output:", seq.shape, "graph nodes:", len(ad.toposort(seq)),
+      "(the op plus its 6 weight leaves)")
 
 print("\nfinite-difference check of every operator (3 seeds):")
 print(format_report(run_gradcheck(scope="ops", seeds=3)))

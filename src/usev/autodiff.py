@@ -329,17 +329,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
                  tuple(tensors), bwd, "concat")
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = [_coerce(t) for t in tensors]
-
-    def bwd(g):
-        for i, t in enumerate(tensors):
-            _acc(t, np.take(g, i, axis=axis))
-
-    return _node(np.stack([t.data for t in tensors], axis=axis),
-                 tuple(tensors), bwd, "stack")
-
-
 def pad_axis(a, axis: int, before: int, after: int) -> Tensor:
     """Zero-pad one axis."""
     a = _coerce(a)
@@ -487,79 +476,90 @@ def layer_norm(x, gain, bias, axis: int = 0, eps: float = LN_EPS) -> Tensor:
 
 # -- recurrence ----------------------------------------------------------------------
 
-def lstm_cell(xt, h, c, wx, wh, b):
-    """One fused LSTM step with a hand-derived backward.
+def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Tensor:
+    """Bidirectional LSTM over the leading time axis, as one graph node.
 
-    xt: [batch, F], h/c: [batch, H], wx: [F, 4H], wh: [H, 4H], b: [4H];
-    gate order i, f, g, o. Returns (h_new, c_new). Fusing the step keeps the
-    recurrence from exploding into per-gate graph nodes.
+    x: [T, F] or [T, batch, F]; wx: [F, 4H], wh: [H, 4H], b: [4H]; gate
+    order i, f, g, o; zero initial states. The output concatenates the two
+    directions per step -> [T, 2H] or [T, batch, 2H]. One loop over step s
+    runs both directions as a batch of two; direction 1 reads time T-1-s.
+    Gates and cell states are taped only when some input needs a gradient.
+    Backward runs BPTT by hand, then forms the input and weight gradients
+    with one GEMM per direction over the whole sequence.
     """
-    xt, h, c = _coerce(xt), _coerce(h), _coerce(c)
-    wx, wh, b = _coerce(wx), _coerce(wh), _coerce(b)
-    hidden = wh.shape[0]
-    z = xt.data @ wx.data + h.data @ wh.data + b.data
-    i = 1.0 / (1.0 + np.exp(-z[:, :hidden]))
-    f = 1.0 / (1.0 + np.exp(-z[:, hidden : 2 * hidden]))
-    g = np.tanh(z[:, 2 * hidden : 3 * hidden])
-    o = 1.0 / (1.0 + np.exp(-z[:, 3 * hidden :]))
-    c_new = f * c.data + i * g
-    tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
+    parents = tuple(_coerce(p) for p in (x, wx_f, wh_f, b_f, wx_b, wh_b, b_b))
+    x = parents[0]
+    xd = x.data.reshape(x.shape[0], -1, x.shape[-1])
+    t_len, batch, feat = xd.shape
+    hidden = parents[2].shape[0]
+    wx = np.stack([parents[1].data, parents[4].data])  # [2, F, 4H]
+    wh = np.stack([parents[2].data, parents[5].data])  # [2, H, 4H]
+    b = np.stack([parents[3].data, parents[6].data])[:, None, :]  # [2, 1, 4H]
+    xs = np.stack([xd, xd[::-1]])  # [2, T, batch, F], in step order
+    taped = any(p.requires_grad for p in parents)
+    if taped:
+        gates = np.empty((2, t_len, batch, 4 * hidden))
+        cells = np.empty((2, t_len, batch, hidden))
+        tanh_cells = np.empty((2, t_len, batch, hidden))
+    gi, gf, gg, go = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    out = np.empty((t_len, batch, 2 * hidden))
+    h = c = np.zeros((2, batch, hidden))
+    for s in range(t_len):
+        z = np.matmul(xs[:, s], wx)
+        z += np.matmul(h, wh)
+        z += b
+        act = 1.0 / (1.0 + np.exp(-z))
+        act[..., gg] = np.tanh(z[..., gg])
+        c = act[..., gf] * c + act[..., gi] * act[..., gg]
+        tanh_c = np.tanh(c)
+        h = act[..., go] * tanh_c
+        out[s, :, :hidden] = h[0]
+        out[t_len - 1 - s, :, hidden:] = h[1]
+        if taped:
+            gates[:, s] = act
+            cells[:, s] = c
+            tanh_cells[:, s] = tanh_c
 
     def bwd(grad):
-        dh = grad[:, :hidden]
-        dc = grad[:, hidden:] + dh * o * (1.0 - tanh_c * tanh_c)
-        dz = np.concatenate([
-            (dc * g) * i * (1.0 - i),
-            (dc * c.data) * f * (1.0 - f),
-            (dc * i) * (1.0 - g * g),
-            (dh * tanh_c) * o * (1.0 - o),
-        ], axis=1)
-        if xt.requires_grad:
-            _acc(xt, dz @ wx.data.T)
-        if h.requires_grad:
-            _acc(h, dz @ wh.data.T)
-        _acc(c, dc * f)
-        if wx.requires_grad:
-            _acc(wx, xt.data.T @ dz)
-        if wh.requires_grad:
-            _acc(wh, h.data.T @ dz)
-        _acc(b, dz.sum(axis=0))
+        grad = grad.reshape(out.shape)
+        d_out = np.stack([grad[:, :, :hidden], grad[::-1, :, hidden:]])
+        i, f, g, o = (gates[..., k] for k in (gi, gf, gg, go))
+        c_prev = np.zeros_like(cells)
+        c_prev[:, 1:] = cells[:, :-1]
+        # dZ = [dc, dc, dc, dh] * coef, gate by gate, with
+        # dc = dc_next * f_next + dh * o * (1 - tanh(c)^2).
+        coef = np.empty((2, t_len, batch, 4, hidden))
+        coef[..., 0, :] = g * i * (1.0 - i)
+        coef[..., 1, :] = c_prev * f * (1.0 - f)
+        coef[..., 2, :] = i * (1.0 - g * g)
+        coef[..., 3, :] = tanh_cells * o * (1.0 - o)
+        d_cell = o * (1.0 - tanh_cells * tanh_cells)
+        dz = np.empty_like(gates)
+        dz4 = dz.reshape(coef.shape)
+        wh_t = wh.transpose(0, 2, 1)
+        dc = dh_next = np.zeros((2, batch, hidden))
+        for s in range(t_len - 1, -1, -1):
+            dh = d_out[:, s] + dh_next
+            dc = dc + dh * d_cell[:, s]
+            np.multiply(coef[:, s, :, :3], dc[:, :, None], out=dz4[:, s, :, :3])
+            np.multiply(coef[:, s, :, 3], dh, out=dz4[:, s, :, 3])
+            dh_next = np.matmul(dz[:, s], wh_t)
+            dc = dc * f[:, s]
+        dz_flat = dz.reshape(2, t_len * batch, 4 * hidden)
+        dxs = np.matmul(dz_flat, wx.transpose(0, 2, 1)).reshape(xs.shape)
+        _acc(x, (dxs[0] + dxs[1, ::-1]).reshape(x.shape))
+        h_prev = np.zeros((2, t_len, batch, hidden))
+        h_prev[0, 1:] = out[:-1, :, :hidden]
+        h_prev[1, 1:] = out[:0:-1, :, hidden:]
+        dwx = np.matmul(xs.reshape(2, -1, feat).transpose(0, 2, 1), dz_flat)
+        dwh = np.matmul(h_prev.reshape(2, -1, hidden).transpose(0, 2, 1), dz_flat)
+        db = dz_flat.sum(axis=1)
+        for d in range(2):
+            _acc(parents[1 + 3 * d], dwx[d])
+            _acc(parents[2 + 3 * d], dwh[d])
+            _acc(parents[3 + 3 * d], db[d])
 
-    out = _node(np.concatenate([h_new, c_new], axis=1),
-                (xt, h, c, wx, wh, b), bwd, "lstm_cell")
-    return out[:, :hidden], out[:, hidden:]
-
-
-def _lstm_direction(x, wx, wh, b, reverse: bool):
-    t_len, batch, _ = x.shape
-    hidden = wh.shape[0]
-    h = Tensor(np.zeros((batch, hidden)))
-    c = Tensor(np.zeros((batch, hidden)))
-    outs: list[Tensor] = [None] * t_len  # type: ignore[list-item]
-    steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    for t in steps:
-        h, c = lstm_cell(x[t], h, c, wx, wh, b)
-        outs[t] = h
-    return outs
-
-
-def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Tensor:
-    """Bidirectional LSTM over the leading time axis.
-
-    x: [T, F] or [T, batch, F]; output concatenates the two directions per
-    step -> [T, 2H] or [T, batch, 2H]. Initial states are zero.
-    """
-    x = _coerce(x)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = reshape(x, (x.shape[0], 1, x.shape[1]))
-    fwd = _lstm_direction(x, wx_f, wh_f, b_f, reverse=False)
-    bwd_ = _lstm_direction(x, wx_b, wh_b, b_b, reverse=True)
-    out = concat([stack(fwd, axis=0), stack(bwd_, axis=0)], axis=2)
-    if squeeze:
-        out = reshape(out, (out.shape[0], out.shape[2]))
-    return out
+    return _node(out.reshape(x.shape[:-1] + (2 * hidden,)), parents, bwd, "bilstm")
 
 
 # -- chunking for dual-path processing --------------------------------------------------

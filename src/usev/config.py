@@ -1,19 +1,25 @@
 """Plain-text key=value run configs.
 
 One file can carry simulation, model, and training keys together; each
-builder picks out the fields it knows. Values are coerced by the type of
-the dataclass default: ints, floats, bools, and comma-separated tuples.
+builder picks out the fields it knows, and a key that no builder knows is
+an error. Values are coerced by the type of the dataclass default: ints,
+floats, strict booleans, and comma-separated tuples.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import difflib
 import json
 
 from .harness import TrainConfig
 from .losses import LossWeights
 from .mixsim import SimConfig
 from .model import UsevConfig
+
+_BUILDERS = (SimConfig, UsevConfig, TrainConfig)
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -27,35 +33,52 @@ def parse_kv_file(path) -> dict[str, str]:
                 raise ValueError(f"{path}: line {lineno}: expected key = value")
             key, val = line.split("=", 1)
             out[key.strip()] = val.strip()
+    known = {f.name for cls in _BUILDERS for f in dataclasses.fields(cls)}
+    for key in out:
+        if key not in known:
+            near = difflib.get_close_matches(key, known, n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ValueError(f"{path}: unknown config key {key!r}{hint}")
     return out
 
 
 def _coerce(default, raw: str):
     if isinstance(default, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
+        if raw.lower() not in _BOOLS:
+            raise ValueError(f"expected a boolean ({'/'.join(_BOOLS)}), got {raw!r}")
+        return _BOOLS[raw.lower()]
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
         return float(raw)
     if isinstance(default, tuple):
-        return tuple(float(x) for x in raw.split(","))
-    if isinstance(default, dict):
-        return json.loads(raw)
+        return _numbers(raw, len(default))
     if isinstance(default, LossWeights):
-        parts = [float(x) for x in raw.split(",")]
-        return LossWeights(*parts)
-    if default is None:
-        return raw
+        return LossWeights(*_numbers(raw, len(dataclasses.fields(LossWeights))))
+    if isinstance(default, dict):
+        value = json.loads(raw)
+        if not isinstance(value, dict):
+            raise ValueError(f"expected a JSON object, got {raw!r}")
+        return value
     return raw
 
 
-def _build(cls, kv: dict, prefix: str = ""):
+def _numbers(raw: str, width: int) -> tuple:
+    parts = tuple(float(x) for x in raw.split(","))
+    if len(parts) != width:
+        raise ValueError(f"expected {width} comma-separated numbers, got {raw!r}")
+    return parts
+
+
+def _build(cls, kv: dict):
     defaults = cls()
     kwargs = {}
     for f in dataclasses.fields(cls):
-        key = prefix + f.name
-        if key in kv:
-            kwargs[f.name] = _coerce(getattr(defaults, f.name), kv[key])
+        if f.name in kv:
+            try:
+                kwargs[f.name] = _coerce(getattr(defaults, f.name), kv[f.name])
+            except ValueError as e:
+                raise ValueError(f"config key {f.name!r}: {e}") from None
     return cls(**kwargs)
 
 

@@ -16,13 +16,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .dsp import _samples
-from .scenario import KINDS, ScenarioTrack
+from .scenario import KINDS, TARGET_SPEAKS, ScenarioTrack
 
 EPS = 1e-8
-
-# Scenario kinds where the target is speaking take the reconstruction loss,
-# the quiet-target kinds take the output-energy loss.
-SDR_KINDS = ("SQ", "SS")
 
 
 @dataclass(frozen=True)
@@ -128,13 +124,13 @@ def tensor_loss_differentiated(est: ad.Tensor, ref, track: ScenarioTrack,
         mask = track.kind_mask(kind)
         if not mask.any():
             continue
-        if kind in SDR_KINDS and not np.any(r[mask]):
+        if kind in TARGET_SPEAKS and not np.any(r[mask]):
             raise ValueError(
                 f"zero-energy reference on a {kind} segment; activity "
                 "masks and scenario labels disagree")
         if w == 0.0:
             continue
-        if kind in SDR_KINDS:
+        if kind in TARGET_SPEAKS:
             terms.append(tensor_loss_sdr(est, r, mask=mask) * w)
         else:
             terms.append(tensor_loss_energy(est, mask=mask) * w)

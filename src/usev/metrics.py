@@ -15,13 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import AudioClip, _samples
-from .scenario import BUCKETS, KINDS, classify_clip, clip_bucket
+from .scenario import BUCKETS, KINDS, TARGET_SPEAKS, classify_clip, clip_bucket
 
 EPS = 1e-8
-
-# Kinds scored with SI-SDR vs power in the per-scenario view.
-_SI_SDR_KINDS = ("SQ", "SS")
-_POWER_KINDS = ("QQ", "QS")
 
 # Effective-visual-cue histogram: twenty 5% intervals.
 VISUAL_BIN_EDGES = np.linspace(0.0, 1.0, 21)
@@ -102,7 +98,7 @@ class ReportTables:
         lines = [f"{'kind':>6} {'n':>6} {'metric':>9}"]
         for k in KINDS:
             if k in self.kind_means:
-                unit = "SI-SDR dB" if k in _SI_SDR_KINDS else "power dB/s"
+                unit = "SI-SDR dB" if k in TARGET_SPEAKS else "power dB/s"
                 lines.append(f"{k:>6} {self.kind_counts[k]:>6} "
                              f"{self.kind_means[k]:>9.2f} ({unit})")
         return "\n".join(lines)
@@ -144,7 +140,7 @@ def eval_report(pairs, power_bin_edges=None) -> ReportTables:
             mask = track.kind_mask(kind)
             if not mask.any():
                 continue
-            if kind in _SI_SDR_KINDS:
+            if kind in TARGET_SPEAKS:
                 kind_metrics[kind] = si_sdr(est_s[mask], ref_s[mask])
             else:
                 kind_metrics[kind] = power_db_per_s(est_s[mask], sr)
@@ -239,7 +235,7 @@ def write_report(report: ReportTables, out_dir) -> None:
         w.writerow(["kind", "count", "mean_metric", "metric"])
         for k in KINDS:
             if k in report.kind_means:
-                metric = "si_sdr" if k in _SI_SDR_KINDS else "power"
+                metric = "si_sdr" if k in TARGET_SPEAKS else "power"
                 w.writerow([k, report.kind_counts[k], report.kind_means[k], metric])
 
     with open(out / "power_hist.csv", "w", newline="") as f:

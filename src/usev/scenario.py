@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 KINDS = ("QQ", "SQ", "SS", "QS")
+# Kinds where the target speaks: scored and trained on reconstruction
+# (SI-SDR); the quiet-target kinds QQ/QS are scored on output power.
+TARGET_SPEAKS = ("SQ", "SS")
 
 # Overlap-ratio buckets, half-open on the left; TA clips have no ratio.
 BUCKETS = ("TA", "0%", "(0,20]%", "(20,40]%", "(40,60]%", "(60,80]%", "(80,100]%")

@@ -219,6 +219,76 @@ class TestBilstm:
         np.testing.assert_allclose(out.data[:, :h], rev.data[::-1, h:],
                                    rtol=1e-12)
 
+    @staticmethod
+    def _unrolled_oracle(x, params):
+        """Independent numpy BLSTM: each direction stepped on its own."""
+        def sigmoid(v):
+            return 1.0 / (1.0 + np.exp(-v))
+
+        t_len, batch, _ = x.shape
+        halves = []
+        for (wx, wh, b), steps in zip(
+                (params[:3], params[3:]),
+                (range(t_len), range(t_len - 1, -1, -1))):
+            h = wh.shape[0]
+            hs, hc = np.zeros((batch, h)), np.zeros((batch, h))
+            half = np.zeros((t_len, batch, h))
+            for t in steps:
+                z = x[t] @ wx + hs @ wh + b
+                hc = (sigmoid(z[:, h:2 * h]) * hc
+                      + sigmoid(z[:, :h]) * np.tanh(z[:, 2 * h:3 * h]))
+                hs = sigmoid(z[:, 3 * h:]) * np.tanh(hc)
+                half[t] = hs
+            halves.append(half)
+        return np.concatenate(halves, axis=2)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 5])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_fused_matches_unrolled_oracle(self, t_len, batch):
+        rng = np.random.default_rng(10 * t_len + batch)
+        f, h = 4, 3
+        x = rng.standard_normal((t_len, batch, f))
+        params = [rng.standard_normal(s) * 0.5
+                  for s in ((f, 4 * h), (h, 4 * h), (4 * h,)) * 2]
+        want = self._unrolled_oracle(x, params)
+        # batch 1 goes through the unbatched [T, F] form
+        got = ad.bilstm(Tensor(x[:, 0] if batch == 1 else x),
+                        *(Tensor(p) for p in params)).data
+        assert got.shape == ((t_len, 2 * h) if batch == 1
+                             else (t_len, batch, 2 * h))
+        np.testing.assert_allclose(got.reshape(want.shape), want,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_no_grad_output_is_bit_identical_to_taped(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((6, 3, 4))
+        params = [Tensor(rng.standard_normal(s) * 0.5, requires_grad=True)
+                  for s in ((4, 8), (2, 8), (8,)) * 2]
+        taped = ad.bilstm(Tensor(x), *params)
+        assert taped.op == "bilstm"
+        with ad.no_grad(params):
+            folded = ad.bilstm(Tensor(x), *params)
+        assert folded.op == "leaf"
+        np.testing.assert_array_equal(folded.data, taped.data)
+
+    def test_desk_graph_has_one_node_per_blstm(self):
+        from usev.losses import LossWeights, tensor_loss_differentiated
+        from usev.model import UsevConfig, UsevNet
+        from usev.scenario import label_scenarios
+
+        cfg = UsevConfig()
+        model = UsevNet(cfg, seed=0)
+        rng = np.random.default_rng(12)
+        n = cfg.sample_rate // 2
+        est = model.forward(rng.standard_normal(n),
+                            rng.uniform(size=(13, cfg.visual_dim)))
+        track = label_scenarios(np.arange(n) < n // 2, np.arange(n) >= n // 4)
+        loss = tensor_loss_differentiated(est, rng.standard_normal(n), track,
+                                          LossWeights())
+        ops = [node.op for node in ad.toposort(loss)]
+        assert ops.count("bilstm") == 2 * cfg.repeats
+        assert "lstm_cell" not in ops
+
 
 class TestGradientChecks:
     @pytest.mark.parametrize("name", sorted(OP_CHECKS))

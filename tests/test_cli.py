@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from usev.cli import main
 from usev.mixsim import read_manifest
@@ -73,3 +74,39 @@ def test_bad_config_gives_param_exit_code(tmp_path):
     cfg.write_text("clip_s = 9.0,9.5\nutterance_s = 3.0,4.0\n")
     assert run(["simulate", "--config", cfg, "--out", tmp_path / "o",
                 "--count", 1, "--seed", 0]) == 2
+
+
+SIM_OK = "clip_s = 1.0,1.4\nutterance_s = 3.0,4.0\n"
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("train", "lr = 0.5\n", "unknown config key 'lr'; did you mean 'lr0'?"),
+    ("train", "batchsize = 9\n", "did you mean 'batch_size'?"),
+    ("simulate", SIM_OK + "noisey = true\n", "did you mean 'noisy'?"),
+    ("simulate", SIM_OK + "zzz = 1\n", "unknown config key 'zzz'"),
+    ("simulate", SIM_OK + "noisy = maybe\n", "'noisy': expected a boolean"),
+    ("simulate", SIM_OK + "noisy = 2\n", "'noisy': expected a boolean"),
+    ("simulate", "clip_s = 1.0\nutterance_s = 3.0,4.0\n",
+     "'clip_s': expected 2 comma-separated numbers"),
+    ("simulate", SIM_OK + "bucket_weights = [1, 2]\n",
+     "'bucket_weights': expected a JSON object"),
+    ("train", "weights = 1,1,1\n",
+     "'weights': expected 4 comma-separated numbers"),
+    ("train", "max_epochs = many\n", "'max_epochs'"),
+])
+def test_malformed_config_gives_param_exit_code(tmp_path, capsys, command,
+                                                text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    if command == "simulate":
+        args = ["simulate", "--config", cfg, "--out", tmp_path / "o",
+                "--count", 1, "--seed", 0]
+    else:
+        missing = tmp_path / "none.jsonl"
+        args = ["train", "--config", cfg, "--train-manifest", missing,
+                "--val-manifest", missing, "--out", tmp_path / "o"]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    if "unknown" in message:
+        assert str(cfg) in err

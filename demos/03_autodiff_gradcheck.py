@@ -13,7 +13,7 @@ from usev.gradcheck import format_report, run_gradcheck
 # A scalar loss through a few ops; backward fills .grad on the leaves.
 x = ad.Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
 w = ad.Tensor(np.array([[0.2, 0.1], [-0.3, 0.4]]), requires_grad=True)
-z = x @ w
+z = ad.matmul(x, w)
 loss = (ad.log(z * z + 1.0) * ad.relu(x)).sum()
 loss.backward()
 print("toy loss:", loss.item())

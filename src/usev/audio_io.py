@@ -1,10 +1,13 @@
-"""WAV (16-bit PCM / 32-bit float) and raw float32 file I/O.
+"""WAV (16-bit PCM / 32-bit float) and raw float32 file I/O, plus the
+bounded reads the binary viseme and checkpoint readers share.
 
 Float32 WAV is the default for simulator output: the float64 -> float32 cast
 is deterministic, so re-running a simulation reproduces files byte for byte.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 from scipy.io import wavfile
@@ -41,3 +44,20 @@ def write_raw_f32(path, samples) -> None:
 
 def read_raw_f32(path) -> np.ndarray:
     return np.fromfile(path, dtype="<f4").astype(np.float64)
+
+
+def read_exact(f, n: int, path, field: str) -> bytes:
+    """Read exactly n bytes of `field` from a file opened in binary mode.
+    Asking for more than the file still holds is a ValueError naming the
+    file and the field, raised before anything is allocated."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise ValueError(f"{path}: truncated {field}: expected {n} bytes, "
+                         f"{left} left")
+    return f.read(n)
+
+
+def expect_end(f, path) -> None:
+    """Reject bytes after the last field."""
+    if f.read(1):
+        raise ValueError(f"{path}: trailing bytes after the last field")

@@ -71,49 +71,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
 
-    __rmul__ = __mul__
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return slice_(self, key)
 
     def sum(self, axis=None, keepdims=False):
         return ssum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return smean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes or None)
 
 
 def _coerce(x) -> Tensor:
@@ -378,85 +346,42 @@ def matmul(a, b) -> Tensor:
     return _node(a.data @ b.data, (a, b), bwd, "matmul")
 
 
-def linear(x, w, b=None) -> Tensor:
-    """Affine map over the trailing feature axis: x [rows, in] @ w [in, out] + b."""
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
+def depthwise_conv1d(x, w, b) -> Tensor:
+    """Per-channel cross-correlation with stride 1 and zero "same" padding.
 
-
-def conv1d(x, w, b=None, stride: int = 1, groups: int = 1) -> Tensor:
-    """Strided cross-correlation. x: [Cin, T], w: [Cout, Cin/groups, k] -> [Cout, T'].
-
-    T' = floor((T - k)/stride) + 1; no implicit padding (compose with pad_axis).
+    x: [C, T], w: [C, 1, k] with k odd, b: [C] -> [C, T]. Output t sums
+    w[c, 0, i] * x[c, t + i - k//2] over the taps i, in tap order.
     """
-    x, w = _coerce(x), _coerce(w)
-    cin, t_in = x.shape
-    cout, cin_g, k = w.shape
-    if cin % groups or cout % groups or cin_g != cin // groups:
-        raise ValueError(f"bad grouping: x {x.shape}, w {w.shape}, groups {groups}")
-    if t_in < k:
-        raise ValueError(f"input length {t_in} shorter than kernel {k}")
-    t_out = (t_in - k) // stride + 1
-    xd, wd = x.data, w.data
-    depthwise = groups == cin == cout
-    og = cout // groups
-
-    out_data = np.zeros((cout, t_out))
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    channels, t_len = x.shape
+    k = w.shape[-1]
+    if w.shape != (channels, 1, k) or b.shape != (channels,):
+        raise ValueError(f"depthwise conv needs w [C, 1, k] and b [C] for "
+                         f"x {x.shape}, got w {w.shape}, b {b.shape}")
+    if k % 2 == 0:
+        raise ValueError(f"same padding needs an odd kernel, got {k}")
+    half = k // 2
+    xp = np.pad(x.data, ((0, 0), (half, half)))
+    wd = w.data
+    out_data = np.zeros((channels, t_len))
     for i in range(k):
-        xs = xd[:, i : i + stride * t_out : stride]
-        if groups == 1:
-            out_data += wd[:, :, i] @ xs
-        elif depthwise:
-            out_data += wd[:, 0, i : i + 1] * xs
-        else:
-            for gi in range(groups):
-                out_data[gi * og : (gi + 1) * og] += (
-                    wd[gi * og : (gi + 1) * og, :, i]
-                    @ xs[gi * cin_g : (gi + 1) * cin_g]
-                )
-    parents = [x, w]
-    if b is not None:
-        b = _coerce(b)
-        out_data = out_data + b.data[:, None]
-        parents.append(b)
+        out_data += wd[:, 0, i : i + 1] * xp[:, i : i + t_len]
+    out_data = out_data + b.data[:, None]
 
     def bwd(g):
         if x.requires_grad:
-            dx = np.zeros_like(xd)
+            dxp = np.zeros_like(xp)
             for i in range(k):
-                view = dx[:, i : i + stride * t_out : stride]
-                if groups == 1:
-                    view += wd[:, :, i].T @ g
-                elif depthwise:
-                    view += wd[:, 0, i : i + 1] * g
-                else:
-                    for gi in range(groups):
-                        view[gi * cin_g : (gi + 1) * cin_g] += (
-                            wd[gi * og : (gi + 1) * og, :, i].T
-                            @ g[gi * og : (gi + 1) * og]
-                        )
-            _acc(x, dx)
+                dxp[:, i : i + t_len] += wd[:, 0, i : i + 1] * g
+            _acc(x, dxp[:, half : half + t_len])
         if w.requires_grad:
             dw = np.zeros_like(wd)
             for i in range(k):
-                xs = xd[:, i : i + stride * t_out : stride]
-                if groups == 1:
-                    dw[:, :, i] = g @ xs.T
-                elif depthwise:
-                    dw[:, 0, i] = np.sum(g * xs, axis=1)
-                else:
-                    for gi in range(groups):
-                        dw[gi * og : (gi + 1) * og, :, i] = (
-                            g[gi * og : (gi + 1) * og]
-                            @ xs[gi * cin_g : (gi + 1) * cin_g].T
-                        )
+                dw[:, 0, i] = np.sum(g * xp[:, i : i + t_len], axis=1)
             _acc(w, dw)
-        if b is not None:
-            _acc(b, g.sum(axis=1))
+        _acc(b, g.sum(axis=1))
 
-    return _node(out_data, tuple(parents), bwd, "conv1d")
+    return _node(out_data, (x, w, b), bwd, "depthwise_conv1d")
 
 
 # -- normalization -----------------------------------------------------------------

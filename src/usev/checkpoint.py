@@ -13,6 +13,8 @@ import struct
 
 import numpy as np
 
+from .audio_io import expect_end, read_exact
+
 _MAGIC = b"USEVCKPT"
 _VERSION = 1
 _DTYPES = {0: "<f4", 1: "<f8"}
@@ -40,27 +42,41 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None,
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
-    """Returns (tensors as float64 arrays, metadata dict)."""
+    """Returns (tensors as float64 arrays, metadata dict). A truncated or
+    malformed file, or one with bytes after the last tensor, raises
+    ValueError naming the file and the field."""
     with open(path, "rb") as f:
         if f.read(8) != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        version, meta_len = struct.unpack("<II", f.read(8))
+        version, meta_len = struct.unpack("<II", read_exact(f, 8, path, "header"))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        meta = json.loads(f.read(meta_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", f.read(4))
+        meta = _parse(path, "metadata", json.loads,
+                      read_exact(f, meta_len, path, "metadata"))
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: metadata is not a JSON object")
+        (count,) = struct.unpack("<I", read_exact(f, 4, path, "tensor count"))
         tensors = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            code, ndim = struct.unpack("<BB", f.read(2))
+        for i in range(count):
+            (name_len,) = struct.unpack("<H", read_exact(f, 2, path, f"tensor {i} name"))
+            name = _parse(path, f"tensor {i} name", bytes.decode,
+                          read_exact(f, name_len, path, f"tensor {i} name"))
+            code, ndim = struct.unpack("<BB", read_exact(f, 2, path, f"{name} dtype"))
             if code not in _DTYPES:
                 raise ValueError(f"{path}: unknown dtype code {code} for {name}")
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+            shape = struct.unpack(f"<{ndim}I",
+                                  read_exact(f, 4 * ndim, path, f"{name} shape"))
             n_bytes = int(np.prod(shape, dtype=np.int64)) * int(_DTYPES[code][-1])
-            payload = f.read(n_bytes)
-            if len(payload) != n_bytes:
-                raise ValueError(f"{path}: truncated payload for {name}")
+            payload = read_exact(f, n_bytes, path, f"{name} payload")
             tensors[name] = np.frombuffer(payload, dtype=_DTYPES[code]) \
                 .astype(np.float64).reshape(shape)
+        expect_end(f, path)
     return tensors, meta
+
+
+def _parse(path, field: str, parse, blob: bytes):
+    """parse(blob) for UTF-8 fields; a ValueError names the file and the field."""
+    try:
+        return parse(blob)
+    except ValueError as e:
+        raise ValueError(f"{path}: bad {field}: {e}") from None

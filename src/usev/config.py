@@ -2,8 +2,9 @@
 
 One file can carry simulation, model, and training keys together; each
 builder picks out the fields it knows, and a key that no builder knows is
-an error. Values are coerced by the type of the dataclass default: ints,
-floats, strict booleans, and comma-separated tuples.
+an error. Values are coerced while the file is parsed, by the type of the
+dataclass default: ints, floats, strict booleans, comma-separated tuples,
+loss weights and JSON objects.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
-def parse_kv_file(path) -> dict[str, str]:
+def parse_kv_file(path) -> dict:
+    """Parse a config file into {key: value}, each value coerced by the type
+    of its builder default. Errors name the file, the line and the key."""
+    defaults = {f.name: getattr(cls(), f.name)
+                for cls in _BUILDERS for f in dataclasses.fields(cls)}
     out = {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
@@ -31,14 +36,17 @@ def parse_kv_file(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: line {lineno}: expected key = value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
-    known = {f.name for cls in _BUILDERS for f in dataclasses.fields(cls)}
-    for key in out:
-        if key not in known:
-            near = difflib.get_close_matches(key, known, n=1)
-            hint = f"; did you mean {near[0]!r}?" if near else ""
-            raise ValueError(f"{path}: unknown config key {key!r}{hint}")
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key not in defaults:
+                near = difflib.get_close_matches(key, defaults, n=1)
+                hint = f"; did you mean {near[0]!r}?" if near else ""
+                raise ValueError(f"{path}: line {lineno}: unknown config key "
+                                 f"{key!r}{hint}")
+            try:
+                out[key] = _coerce(defaults[key], val)
+            except ValueError as e:
+                raise ValueError(f"{path}: line {lineno}: config key {key!r}: "
+                                 f"{e}") from None
     return out
 
 
@@ -71,15 +79,8 @@ def _numbers(raw: str, width: int) -> tuple:
 
 
 def _build(cls, kv: dict):
-    defaults = cls()
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name in kv:
-            try:
-                kwargs[f.name] = _coerce(getattr(defaults, f.name), kv[f.name])
-            except ValueError as e:
-                raise ValueError(f"config key {f.name!r}: {e}") from None
-    return cls(**kwargs)
+    return cls(**{f.name: kv[f.name] for f in dataclasses.fields(cls)
+                  if f.name in kv})
 
 
 def sim_config(kv: dict) -> SimConfig:

@@ -131,42 +131,18 @@ def _check_matmul_linear(seed, tamper=False):
     x = rng.standard_normal((4, 3))
     w = rng.standard_normal((3, 5))
     b = rng.standard_normal(5)
-    return fd_check(lambda t: proj(ad.linear(t["x"], t["w"], t["b"])),
+    return fd_check(lambda t: proj(ad.matmul(t["x"], t["w"]) + t["b"]),
                     {"x": x, "w": w, "b": b}, tamper=tamper)
 
 
-def _check_conv1d(seed, tamper=False):
+def _check_depthwise_conv1d(seed, tamper=False):
     rng = np.random.default_rng(seed)
     proj = _projector(rng)
-    x = rng.standard_normal((4, 12))
-    w = rng.standard_normal((6, 4, 3))
-    b = rng.standard_normal(6)
-    return fd_check(
-        lambda t: proj(ad.conv1d(t["x"], t["w"], t["b"], stride=2)),
-        {"x": x, "w": w, "b": b}, tamper=tamper)
-
-
-def _check_conv1d_depthwise(seed, tamper=False):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
-    x = rng.standard_normal((5, 10))
-    w = rng.standard_normal((5, 1, 3))
-    b = rng.standard_normal(5)
-    return fd_check(
-        lambda t: proj(ad.conv1d(t["x"], t["w"], t["b"], stride=1,
-                                     groups=5)),
-        {"x": x, "w": w, "b": b}, tamper=tamper)
-
-
-def _check_conv1d_grouped(seed, tamper=False):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
-    x = rng.standard_normal((6, 9))
-    w = rng.standard_normal((4, 3, 2))
+    x = rng.standard_normal((4, 9))
+    w = rng.standard_normal((4, 1, 5))
     b = rng.standard_normal(4)
     return fd_check(
-        lambda t: proj(ad.conv1d(t["x"], t["w"], t["b"], stride=1,
-                                     groups=2)),
+        lambda t: proj(ad.depthwise_conv1d(t["x"], t["w"], t["b"])),
         {"x": x, "w": w, "b": b}, tamper=tamper)
 
 
@@ -262,9 +238,7 @@ OP_CHECKS = {
     "relu": _check_relu,
     "prelu": _check_prelu,
     "matmul/linear": _check_matmul_linear,
-    "conv1d": _check_conv1d,
-    "conv1d(depthwise)": _check_conv1d_depthwise,
-    "conv1d(grouped)": _check_conv1d_grouped,
+    "depthwise_conv1d": _check_depthwise_conv1d,
     "layer_norm": _check_layer_norm,
     "sum/mean/reshape/transpose/pad/concat": _check_reductions_shapes,
     "slice/index_select": _check_slice_index,

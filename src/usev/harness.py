@@ -21,9 +21,8 @@ from . import autodiff as ad
 from . import mixsim
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dsp import AudioClip
-from .losses import (LossWeights, loss_differentiated, loss_sdr,
-                     loss_uniform, tensor_loss_differentiated,
-                     tensor_loss_sdr, tensor_loss_uniform)
+from .losses import (LossWeights, tensor_loss_differentiated, tensor_loss_sdr,
+                     tensor_loss_uniform)
 from .metrics import ReportTables, eval_report, write_report
 from .model import UsevConfig, UsevNet
 from .scenario import crop_track
@@ -97,15 +96,6 @@ def _clip_loss_graph(cfg: TrainConfig, est, ref, track):
     return tensor_loss_uniform(est, ref)
 
 
-def _clip_loss_value(cfg: TrainConfig, est: np.ndarray, record) -> float:
-    if cfg.loss == "differentiated":
-        return loss_differentiated(est, record.target_truth.samples,
-                                   record.track, cfg.weights)
-    if cfg.loss == "sdr":
-        return loss_sdr(est, record.target_truth.samples)
-    return loss_uniform(est, record.target_truth.samples)
-
-
 def _random_crop(rng, record, n_trunc: int, spf: int):
     """Seeded crop to the truncation length, scenario track recomputed."""
     n = len(record.mixture)
@@ -125,7 +115,8 @@ def _validation_loss(cfg: TrainConfig, model: UsevNet, records) -> float:
     with ad.no_grad(model.params.values()):
         for rec in records:
             out = model.forward(rec.mixture.samples, rec.viseme_stream)
-            vals.append(_clip_loss_value(cfg, out.data, rec))
+            vals.append(_clip_loss_graph(cfg, out, rec.target_truth.samples,
+                                         rec.track).item())
     return float(np.mean(vals))
 
 
@@ -231,9 +222,16 @@ def save_model(path, model: UsevNet, extra_meta: dict | None = None) -> None:
 
 def load_model(path) -> tuple[UsevNet, dict]:
     state, meta = load_checkpoint(path)
-    if "model_config" not in meta:
+    cfg = meta.get("model_config")
+    if not isinstance(cfg, dict):
         raise ValueError(f"{path}: checkpoint lacks a model config header")
-    model = UsevNet(UsevConfig(**meta["model_config"]))
+    defaults = UsevConfig().__dict__
+    bad = [k for k in sorted(cfg.keys() | defaults.keys()) if k not in cfg
+           or k not in defaults or type(cfg[k]) is not type(defaults[k])]
+    if bad:
+        raise ValueError(f"{path}: model_config fields {bad} are unknown, "
+                         "missing or of another type than their default")
+    model = UsevNet(UsevConfig(**cfg))
     model.load_state_dict(state)
     return model, meta
 

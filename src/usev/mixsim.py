@@ -480,10 +480,11 @@ def read_visemes(path):
         magic = f.read(4)
         if magic != _VISEME_MAGIC:
             raise ValueError(f"{path}: not a viseme stream file")
-        n_frames, dim, fps = struct.unpack("<III", f.read(12))
-        data = np.frombuffer(f.read(), dtype="<f4")
-    if data.size != n_frames * dim:
-        raise ValueError(f"{path}: truncated viseme payload")
+        n_frames, dim, fps = struct.unpack(
+            "<III", audio_io.read_exact(f, 12, path, "viseme header"))
+        payload = audio_io.read_exact(f, 4 * n_frames * dim, path, "viseme payload")
+        audio_io.expect_end(f, path)
+    data = np.frombuffer(payload, dtype="<f4")
     return data.reshape(n_frames, dim).astype(np.float64), int(fps)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .dsp import gather_frames
 
 
 @dataclass
@@ -170,10 +171,8 @@ class UsevNet:
         t = self._layer_norm(ad.relu(x), f"{prefix}.ln1")
         t = ad.matmul(self.params[f"{prefix}.lin1.w"], t) + self.params[f"{prefix}.lin1.b"]
         t = self._layer_norm(ad.relu(t), f"{prefix}.ln2")
-        t = ad.pad_axis(t, axis=1, before=1, after=1)
-        t = ad.conv1d(t, self.params[f"{prefix}.conv.w"],
-                      self.params[f"{prefix}.conv.b"], stride=1,
-                      groups=2 * self.cfg.encoder_dim)
+        t = ad.depthwise_conv1d(t, self.params[f"{prefix}.conv.w"],
+                                self.params[f"{prefix}.conv.b"])
         t = self._layer_norm(ad.relu(t), f"{prefix}.ln3")
         t = ad.matmul(self.params[f"{prefix}.lin2.w"], t) + self.params[f"{prefix}.lin2.b"]
         return x + t
@@ -190,7 +189,7 @@ class UsevNet:
                         pr[f"{prefix}.lstm.b_b"])
         t_len, batch, feat = out.shape
         flat = ad.reshape(out, (t_len * batch, feat))
-        flat = ad.linear(flat, pr[f"{prefix}.lin.w"], pr[f"{prefix}.lin.b"])
+        flat = ad.matmul(flat, pr[f"{prefix}.lin.w"]) + pr[f"{prefix}.lin.b"]
         back = ad.reshape(flat, (t_len, batch, b))
         back = ad.transpose(back, (2, 0, 1) if intra else (2, 1, 0))
         normed = ad.layer_norm(back, pr[f"{prefix}.ln.gain"],
@@ -200,12 +199,16 @@ class UsevNet:
     # -- network stages -----------------------------------------------------------
 
     def speech_encode(self, samples) -> Tensor:
-        """Waveform -> nonnegative embeddings [N, T]."""
+        """Waveform -> nonnegative embeddings [N, T]: the length-L, stride-L/2
+        convolution written as relu(W @ frames^T + b). The frames are a
+        constant; the waveform never needs a gradient."""
         x = np.asarray(samples, dtype=np.float64)
         self.cfg.num_frames(len(x))  # raises on too-short input
-        sig = Tensor(x.reshape(1, -1))
-        return ad.relu(ad.conv1d(sig, self.params["enc.w"], self.params["enc.b"],
-                                 stride=self.cfg.hop))
+        frames = gather_frames(x, self.cfg.kernel_len, self.cfg.hop)  # [T, L]
+        n = self.cfg.encoder_dim
+        w = ad.reshape(self.params["enc.w"], (n, self.cfg.kernel_len))
+        b = ad.reshape(self.params["enc.b"], (n, 1))
+        return ad.relu(ad.matmul(w, Tensor(frames.T)) + b)
 
     def visual_encode(self, viseme_frames, t_target: int) -> Tensor:
         """Viseme frames [F, D_v] -> embeddings [N, t_target] in speech time."""

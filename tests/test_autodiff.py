@@ -1,10 +1,29 @@
+import re
+
 import numpy as np
 import pytest
 
 from usev import autodiff as ad
 from usev.autodiff import Adam, Tensor
 from usev.checkpoint import load_checkpoint, save_checkpoint
-from usev.gradcheck import OP_CHECKS, OP_TOL, fd_check, max_rel_err
+from usev.gradcheck import OP_CHECKS, OP_TOL, fd_check, max_rel_err, micro_config
+from usev.harness import load_model, save_model
+from usev.losses import LossWeights, tensor_loss_differentiated
+from usev.model import UsevConfig, UsevNet
+from usev.scenario import label_scenarios
+
+
+def desk_loss():
+    """Differentiated loss of one desk-config forward on half a second."""
+    cfg = UsevConfig()
+    model = UsevNet(cfg, seed=0)
+    rng = np.random.default_rng(12)
+    n = cfg.sample_rate // 2
+    est = model.forward(rng.standard_normal(n),
+                        rng.uniform(size=(13, cfg.visual_dim)))
+    track = label_scenarios(np.arange(n) < n // 2, np.arange(n) >= n // 4)
+    return tensor_loss_differentiated(est, rng.standard_normal(n), track,
+                                      LossWeights())
 
 
 class TestBackwardBasics:
@@ -48,7 +67,7 @@ class TestBackwardBasics:
             rng = np.random.default_rng(42)
             x = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
             w = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
-            loss = (ad.relu(x @ w) * ad.log(x * x + 1.0)).sum()
+            loss = (ad.relu(ad.matmul(x, w)) * ad.log(x * x + 1.0)).sum()
             loss.backward()
             return x.grad.copy(), w.grad.copy()
 
@@ -72,30 +91,32 @@ class TestOpForwards:
     def test_relu(self):
         assert ad.relu(Tensor([-1.0, 2.0])).data.tolist() == [0.0, 2.0]
 
+    # depthwise_conv1d is the one convolution op left; the speech encoder
+    # is a framed matmul (tests/test_model.py::TestSpeechEncode).
     def test_conv1d_identity_kernel(self):
         x = Tensor(np.random.default_rng(0).standard_normal((3, 7)))
-        w = Tensor(np.eye(3).reshape(3, 3, 1))
-        out = ad.conv1d(x, w, stride=1)
-        np.testing.assert_allclose(out.data, x.data, rtol=1e-15)
-
-    def test_1x1_conv_on_ones(self):
-        w = Tensor(np.arange(6.0).reshape(2, 3, 1))
-        b = Tensor(np.array([0.5, -0.5]))
-        out = ad.conv1d(Tensor(np.ones((3, 4))), w, b, stride=1)
-        np.testing.assert_allclose(out.data[0], np.full(4, 0 + 1 + 2 + 0.5))
-        np.testing.assert_allclose(out.data[1], np.full(4, 3 + 4 + 5 - 0.5))
+        w = Tensor(np.tile([0.0, 1.0, 0.0], (3, 1, 1)))
+        out = ad.depthwise_conv1d(x, w, Tensor(np.zeros(3)))
+        np.testing.assert_array_equal(out.data, x.data)
 
     def test_conv1d_output_length(self):
-        out = ad.conv1d(Tensor(np.ones((1, 16000))),
-                        Tensor(np.ones((4, 1, 40))), stride=20)
-        assert out.shape == (4, 799)
+        for t_len, k in ((1, 3), (2, 3), (9, 5), (400, 3)):
+            out = ad.depthwise_conv1d(Tensor(np.ones((4, t_len))),
+                                      Tensor(np.ones((4, 1, k))),
+                                      Tensor(np.zeros(4)))
+            assert out.shape == (4, t_len)
 
     def test_conv1d_shape_errors(self):
-        with pytest.raises(ValueError):
-            ad.conv1d(Tensor(np.ones((3, 5))), Tensor(np.ones((2, 2, 2))),
-                      groups=2)
-        with pytest.raises(ValueError):
-            ad.conv1d(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 1, 5))))
+        x, b = Tensor(np.ones((3, 5))), Tensor(np.zeros(3))
+        with pytest.raises(ValueError, match="odd kernel"):
+            ad.depthwise_conv1d(x, Tensor(np.ones((3, 1, 2))), b)
+        with pytest.raises(ValueError):  # channel mismatch in w
+            ad.depthwise_conv1d(x, Tensor(np.ones((2, 1, 3))), b)
+        with pytest.raises(ValueError):  # channel mismatch in b
+            ad.depthwise_conv1d(x, Tensor(np.ones((3, 1, 3))),
+                                Tensor(np.zeros(2)))
+        with pytest.raises(ValueError):  # grouped, not depthwise
+            ad.depthwise_conv1d(x, Tensor(np.ones((3, 3, 3))), b)
 
     def test_layer_norm_constant_vector_zeroes(self):
         x = Tensor(np.full((4, 3), 2.5))
@@ -272,21 +293,8 @@ class TestBilstm:
         np.testing.assert_array_equal(folded.data, taped.data)
 
     def test_desk_graph_has_one_node_per_blstm(self):
-        from usev.losses import LossWeights, tensor_loss_differentiated
-        from usev.model import UsevConfig, UsevNet
-        from usev.scenario import label_scenarios
-
-        cfg = UsevConfig()
-        model = UsevNet(cfg, seed=0)
-        rng = np.random.default_rng(12)
-        n = cfg.sample_rate // 2
-        est = model.forward(rng.standard_normal(n),
-                            rng.uniform(size=(13, cfg.visual_dim)))
-        track = label_scenarios(np.arange(n) < n // 2, np.arange(n) >= n // 4)
-        loss = tensor_loss_differentiated(est, rng.standard_normal(n), track,
-                                          LossWeights())
-        ops = [node.op for node in ad.toposort(loss)]
-        assert ops.count("bilstm") == 2 * cfg.repeats
+        ops = [node.op for node in ad.toposort(desk_loss())]
+        assert ops.count("bilstm") == 2 * UsevConfig().repeats
         assert "lstm_cell" not in ops
 
 
@@ -308,6 +316,23 @@ class TestGradientChecks:
 
     def test_max_rel_err_zero_grads(self):
         assert max_rel_err(np.zeros(4), np.zeros(4)) == 0.0
+
+    def test_every_desk_graph_op_is_checked(self, monkeypatch):
+        # Every op a training step builds must be built by some OP_CHECKS
+        # entry, so a new op cannot reach the model without an FD check.
+        graph_ops = {node.op for node in ad.toposort(desk_loss())} - {"leaf"}
+        checked = set()
+        node = ad._node
+
+        def recording(data, parents, backward_fn, op):
+            checked.add(op)
+            return node(data, parents, backward_fn, op)
+
+        monkeypatch.setattr(ad, "_node", recording)
+        for check in OP_CHECKS.values():
+            check(0)
+        assert graph_ops - checked == set()
+        assert "depthwise_conv1d" in graph_ops
 
 
 class TestAdam:
@@ -365,3 +390,35 @@ class TestCheckpoint:
         (tmp_path / "junk.ckpt").write_bytes(b"NOTACKPTxxxx")
         with pytest.raises(ValueError):
             load_checkpoint(tmp_path / "junk.ckpt")
+
+    @staticmethod
+    def _micro_checkpoint(path):
+        save_model(path, UsevNet(micro_config()))
+        return path.read_bytes()
+
+    def test_every_truncation_names_the_file(self, tmp_path):
+        raw = self._micro_checkpoint(tmp_path / "m.ckpt")
+        cut = tmp_path / "t.ckpt"
+        for k in range(len(raw)):
+            cut.write_bytes(raw[:k])
+            with pytest.raises(ValueError, match=re.escape(str(cut))):
+                load_model(cut)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(self._micro_checkpoint(path) + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda c: {**c, "kernal_len": 4}, "kernal_len"),  # unknown
+        (lambda c: {k: v for k, v in c.items() if k != "chunk"}, "chunk"),
+        (lambda c: {**c, "kernel_len": "4"}, "kernel_len"),  # mistyped
+    ])
+    def test_bad_model_config_names_the_file(self, tmp_path, edit, field):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, UsevNet(micro_config()).state_dict(),
+                        {"model_config": edit(micro_config().__dict__)})
+        with pytest.raises(ValueError, match=rf"fields \['{field}'\]") as err:
+            load_model(path)
+        assert str(path) in str(err.value)

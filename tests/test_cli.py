@@ -108,5 +108,25 @@ def test_malformed_config_gives_param_exit_code(tmp_path, capsys, command,
     assert run(args) == 2
     err = capsys.readouterr().err
     assert message in err
-    if "unknown" in message:
-        assert str(cfg) in err
+    assert str(cfg) in err
+
+
+@pytest.mark.parametrize("damage", ["truncate", "trailing", "unknown_key"])
+def test_malformed_checkpoint_gives_param_exit_code(tmp_path, capsys, damage):
+    from usev.checkpoint import save_checkpoint
+    from usev.gradcheck import micro_config
+    from usev.model import UsevNet
+
+    ckpt = tmp_path / "m.ckpt"
+    meta = {"model_config": dict(micro_config().__dict__)}
+    if damage == "unknown_key":
+        meta["model_config"]["kernal_len"] = 4
+    save_checkpoint(ckpt, UsevNet(micro_config()).state_dict(), meta)
+    raw = ckpt.read_bytes()
+    if damage == "truncate":
+        ckpt.write_bytes(raw[:-3])
+    elif damage == "trailing":
+        ckpt.write_bytes(raw + b"\x00")
+    assert run(["evaluate", "--checkpoint", ckpt, "--test-manifest",
+                tmp_path / "none.jsonl", "--out", tmp_path / "o"]) == 2
+    assert str(ckpt) in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,22 @@ class TestVisemeFiles:
         (tmp_path / "t.bin").write_bytes(raw[:-5])
         with pytest.raises(ValueError):
             read_visemes(tmp_path / "t.bin")
+
+    def test_every_truncation_names_the_file(self, tmp_path):
+        write_visemes(tmp_path / "v.bin", np.ones((5, 3)), 25)
+        raw = (tmp_path / "v.bin").read_bytes()
+        cut = tmp_path / "t.bin"
+        for k in range(len(raw)):
+            cut.write_bytes(raw[:k])
+            with pytest.raises(ValueError, match=re.escape(str(cut))):
+                read_visemes(cut)
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 4])
+    def test_trailing_bytes_rejected(self, tmp_path, extra):
+        write_visemes(tmp_path / "v.bin", np.ones((5, 3)), 25)
+        (tmp_path / "v.bin").write_bytes((tmp_path / "v.bin").read_bytes() + extra)
+        with pytest.raises(ValueError, match="trailing bytes"):
+            read_visemes(tmp_path / "v.bin")
 
 
 class TestManifest:

@@ -58,6 +58,20 @@ class TestSpeechEncode:
         out = net.speech_encode(np.zeros(16000))
         assert out.shape == (cfg.encoder_dim, 799)
 
+    def test_matches_framed_matmul_reference(self):
+        cfg = UsevConfig(sample_rate=16000)
+        net = UsevNet(cfg, seed=8)
+        net.params["enc.b"].data[:] = np.linspace(-0.5, 0.5, cfg.encoder_dim)
+        x = np.random.default_rng(8).standard_normal(16000)
+        l, hop = cfg.kernel_len, cfg.hop
+        want = np.zeros((cfg.encoder_dim, 799))
+        for t in range(799):  # one frame at a time, independent of dsp
+            want[:, t] = (net.params["enc.w"].data[:, 0, :] @ x[t * hop : t * hop + l]
+                          + net.params["enc.b"].data)
+        out = net.speech_encode(x).data
+        assert out.shape == (cfg.encoder_dim, 799)
+        np.testing.assert_allclose(out, np.maximum(want, 0.0), rtol=0, atol=1e-12)
+
 
 class TestVisualEncode:
     def test_output_length_matches_target(self):

@@ -1,5 +1,5 @@
-"""WAV (16-bit PCM / 32-bit float) and raw float32 file I/O, plus the
-bounded reads the binary viseme and checkpoint readers share.
+"""WAV (16-bit PCM / 32-bit float) file I/O, plus the bounded reads the
+binary viseme and checkpoint readers share.
 
 Float32 WAV is the default for simulator output: the float64 -> float32 cast
 is deterministic, so re-running a simulation reproduces files byte for byte.
@@ -36,14 +36,6 @@ def read_wav(path) -> AudioClip:
     else:
         raise ValueError(f"unsupported WAV sample format {data.dtype}")
     return AudioClip(samples, int(rate))
-
-
-def write_raw_f32(path, samples) -> None:
-    np.asarray(samples, dtype=np.float64).astype("<f4").tofile(path)
-
-
-def read_raw_f32(path) -> np.ndarray:
-    return np.fromfile(path, dtype="<f4").astype(np.float64)
 
 
 def read_exact(f, n: int, path, field: str) -> bytes:

@@ -199,16 +199,6 @@ def log10(a) -> Tensor:
     return mul(log(a), 1.0 / np.log(10.0))
 
 
-def sqrt(a) -> Tensor:
-    a = _coerce(a)
-    out_data = np.sqrt(a.data)
-
-    def bwd(g):
-        _acc(a, g * 0.5 / out_data)
-
-    return _node(out_data, (a,), bwd, "sqrt")
-
-
 # -- activations --------------------------------------------------------------
 
 def relu(a) -> Tensor:
@@ -326,12 +316,6 @@ def ssum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _node(out_data, (a,), bwd, "sum")
 
 
-def smean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _coerce(a)
-    count = a.size if axis is None else a.shape[axis]
-    return mul(ssum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 # -- linear algebra --------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
@@ -386,17 +370,29 @@ def depthwise_conv1d(x, w, b) -> Tensor:
 
 # -- normalization -----------------------------------------------------------------
 
-def layer_norm(x, gain, bias, axis: int = 0, eps: float = LN_EPS) -> Tensor:
-    """Normalize over one axis (channels, per time step) with learned gain/bias.
-
-    An all-zero slice normalizes to zero before gain/bias: the eps stabilizer
-    keeps the division finite instead of blowing up on zero variance.
+def layer_norm(x, gain, bias) -> Tensor:
+    """Normalize over axis 0 (channels) with learned gain/bias, as one node:
+    x [C, ...], gain and bias [C, 1, ...]. An all-zero slice normalizes to
+    zero before gain/bias, since LN_EPS keeps the division finite. With
+    x_hat = centered / std, gw = g * gain and means over axis 0, backward is
+    dx = (gw - mean(gw) - x_hat * mean(gw * x_hat)) / std.
     """
-    mu = smean(x, axis=axis, keepdims=True)
-    centered = sub(x, mu)
-    var = smean(mul(centered, centered), axis=axis, keepdims=True)
-    normed = div(centered, sqrt(add(var, eps)))
-    return add(mul(normed, gain), bias)
+    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
+    inv_n = 1.0 / x.shape[0]
+    centered = x.data - x.data.sum(axis=0, keepdims=True) * inv_n
+    std = np.sqrt((centered * centered).sum(axis=0, keepdims=True) * inv_n + LN_EPS)
+    normed = centered / std
+
+    def bwd(g):
+        if x.requires_grad:
+            gw = g * gain.data
+            mean_gw = gw.sum(axis=0, keepdims=True) * inv_n
+            mean_gwx = (gw * normed).sum(axis=0, keepdims=True) * inv_n
+            _acc(x, (gw - mean_gw - normed * mean_gwx) / std)
+        _acc(gain, _unbroadcast(g * normed, gain.shape))
+        _acc(bias, _unbroadcast(g, bias.shape))
+
+    return _node(normed * gain.data + bias.data, (x, gain, bias), bwd, "layer_norm")
 
 
 # -- recurrence ----------------------------------------------------------------------

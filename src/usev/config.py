@@ -25,7 +25,8 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 def parse_kv_file(path) -> dict:
     """Parse a config file into {key: value}, each value coerced by the type
-    of its builder default. Errors name the file, the line and the key."""
+    of its builder default and every builder checked on the result. Errors
+    name the file, and the line and the key where one is to blame."""
     defaults = {f.name: getattr(cls(), f.name)
                 for cls in _BUILDERS for f in dataclasses.fields(cls)}
     out = {}
@@ -47,6 +48,13 @@ def parse_kv_file(path) -> dict:
             except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: config key {key!r}: "
                                  f"{e}") from None
+    # Cross-field checks live in each builder's __post_init__; run them here,
+    # where the file is known.
+    for cls in _BUILDERS:
+        try:
+            _build(cls, out)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
     return out
 
 

@@ -80,11 +80,10 @@ def learning_rate(cfg: TrainConfig, epoch: int) -> float:
     return cfg.lr0 * cfg.lr_decay_per_epoch**epoch
 
 
-def _load_records(data, base_dir=None):
+def _load_records(data):
     """Accept a manifest path or an in-memory list of MixtureRecords."""
     if isinstance(data, (str, Path)):
-        base = Path(data).parent if base_dir is None else Path(base_dir)
-        return [mixsim.load_record(row, base) for row in mixsim.read_manifest(data)]
+        return mixsim.read_records(data)
     return list(data)
 
 
@@ -118,6 +117,19 @@ def _validation_loss(cfg: TrainConfig, model: UsevNet, records) -> float:
             vals.append(_clip_loss_graph(cfg, out, rec.target_truth.samples,
                                          rec.track).item())
     return float(np.mean(vals))
+
+
+def _check_finite(loss, model: UsevNet, epoch: int, step: int, clip_ids) -> None:
+    """Stop before an Adam step would take in a non-finite loss or gradient."""
+    bad = [] if np.isfinite(loss.item()) else ["loss"]
+    grads = [name for name, p in model.params.items()
+             if p.grad is not None and not np.isfinite(p.grad).all()]
+    if grads:
+        bad.append(f"gradient of {grads[0]}"
+                   + (f" and {len(grads) - 1} more" if len(grads) > 1 else ""))
+    if bad:
+        raise ValueError(f"epoch {epoch} step {step}: non-finite "
+                         f"{' and '.join(bad)} on clips {clip_ids}")
 
 
 def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
@@ -164,7 +176,7 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
             opt.lr = learning_rate(cfg, epoch)
             order = rng.permutation(len(train_records))
             batch_losses = []
-            for start in range(0, len(order), cfg.batch_size):
+            for step, start in enumerate(range(0, len(order), cfg.batch_size)):
                 batch = order[start : start + cfg.batch_size]
                 opt.zero_grad()
                 terms = []
@@ -178,6 +190,8 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
                     total = total + t
                 loss = total * (1.0 / len(terms))
                 loss.backward()
+                _check_finite(loss, model, epoch, step,
+                              [train_records[int(i)].clip_id for i in batch])
                 opt.step()
                 batch_losses.append(loss.item())
             train_loss = float(np.mean(batch_losses))
@@ -232,7 +246,10 @@ def load_model(path) -> tuple[UsevNet, dict]:
         raise ValueError(f"{path}: model_config fields {bad} are unknown, "
                          "missing or of another type than their default")
     model = UsevNet(UsevConfig(**cfg))
-    model.load_state_dict(state)
+    try:
+        model.load_state_dict(state)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return model, meta
 
 

@@ -512,6 +512,7 @@ def record_row(record: MixtureRecord, mixture_path: str, target_path: str,
 
 _ROW_REQUIRED = ("clip_id", "sample_rate", "clip_len", "track",
                  "effective_visual_ratio")
+_ROW_PATHS = ("mixture_path", "target_path", "visemes_path")
 
 
 def write_manifest(path, rows) -> None:
@@ -520,7 +521,7 @@ def write_manifest(path, rows) -> None:
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def read_manifest(path) -> list[dict]:
+def _numbered_rows(path) -> list[tuple[int, dict]]:
     rows = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -533,8 +534,25 @@ def read_manifest(path) -> list[dict]:
             missing = [k for k in _ROW_REQUIRED if k not in row]
             if missing:
                 raise ValueError(f"{path}: line {lineno}: missing fields {missing}")
-            rows.append(row)
+            rows.append((lineno, row))
     return rows
+
+
+def read_manifest(path) -> list[dict]:
+    """The manifest's rows; each must carry the composition fields."""
+    return [row for _, row in _numbered_rows(path)]
+
+
+def read_records(path) -> list[MixtureRecord]:
+    """Load every clip a manifest lists, relative to the manifest's folder.
+    Every row's path fields are checked before any file is opened."""
+    rows = _numbered_rows(path)
+    for lineno, row in rows:
+        for k in _ROW_PATHS:
+            if not isinstance(row.get(k), str) or not row[k]:
+                raise ValueError(f"{path}: line {lineno}: field {k!r} must be "
+                                 f"a non-empty path string, got {row.get(k)!r}")
+    return [load_record(row, Path(path).parent) for _, row in rows]
 
 
 def load_record(row: dict, base_dir) -> MixtureRecord:

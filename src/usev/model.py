@@ -165,7 +165,7 @@ class UsevNet:
 
     def _layer_norm(self, x, name) -> Tensor:
         return ad.layer_norm(x, self.params[f"{name}.gain"],
-                             self.params[f"{name}.bias"], axis=0)
+                             self.params[f"{name}.bias"])
 
     def _vtcn_block(self, x, prefix: str) -> Tensor:
         t = self._layer_norm(ad.relu(x), f"{prefix}.ln1")
@@ -192,9 +192,7 @@ class UsevNet:
         flat = ad.matmul(flat, pr[f"{prefix}.lin.w"]) + pr[f"{prefix}.lin.b"]
         back = ad.reshape(flat, (t_len, batch, b))
         back = ad.transpose(back, (2, 0, 1) if intra else (2, 1, 0))
-        normed = ad.layer_norm(back, pr[f"{prefix}.ln.gain"],
-                               pr[f"{prefix}.ln.bias"], axis=0)
-        return chunks + normed
+        return chunks + self._layer_norm(back, f"{prefix}.ln")
 
     # -- network stages -----------------------------------------------------------
 

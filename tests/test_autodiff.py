@@ -53,7 +53,7 @@ class TestBackwardBasics:
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         a = ad.relu(x)
-        b = ad.sqrt(x * x + 1.0)
+        b = ad.log(x * x + 1.0)
         c = (a + b) * a  # diamond: a consumed twice
         loss = c.sum()
         order = ad.toposort(loss)
@@ -120,14 +120,32 @@ class TestOpForwards:
 
     def test_layer_norm_constant_vector_zeroes(self):
         x = Tensor(np.full((4, 3), 2.5))
-        out = ad.layer_norm(x, Tensor(np.ones((4, 1))), Tensor(np.zeros((4, 1))),
-                            axis=0)
+        out = ad.layer_norm(x, Tensor(np.ones((4, 1))), Tensor(np.zeros((4, 1))))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_layer_norm_all_zero_input_stays_zero(self):
         x = Tensor(np.zeros((4, 3)))
         out = ad.layer_norm(x, Tensor(np.ones((4, 1))), Tensor(np.zeros((4, 1))))
         np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("shape", [(5, 7), (4, 3, 6)])
+    def test_layer_norm_matches_op_sequence_oracle(self, shape):
+        # The op sequence of the unfused layer norm, in numpy: the fused
+        # forward must reproduce it bit for bit, all-zero slice included.
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(shape)
+        x[:, 1] = 0.0
+        gain = rng.uniform(0.5, 1.5, size=(shape[0],) + (1,) * (len(shape) - 1))
+        bias = rng.standard_normal(gain.shape)
+        inv_n = 1.0 / shape[0]
+        centered = x - x.sum(axis=0, keepdims=True) * inv_n
+        var = (centered * centered).sum(axis=0, keepdims=True) * inv_n
+        want = centered / np.sqrt(var + ad.LN_EPS) * gain + bias
+        taped = ad.layer_norm(Tensor(x), Tensor(gain, requires_grad=True),
+                              Tensor(bias, requires_grad=True))
+        assert taped.op == "layer_norm"
+        np.testing.assert_array_equal(taped.data, want)
+        assert np.all(taped.data[:, 1] == bias[:, 0])  # zero slice -> bias
 
     def test_matmul_requires_2d(self):
         with pytest.raises(ValueError):
@@ -294,8 +312,12 @@ class TestBilstm:
 
     def test_desk_graph_has_one_node_per_blstm(self):
         ops = [node.op for node in ad.toposort(desk_loss())]
-        assert ops.count("bilstm") == 2 * UsevConfig().repeats
+        cfg = UsevConfig()
+        assert ops.count("bilstm") == 2 * cfg.repeats
         assert "lstm_cell" not in ops
+        # Three per V-TCN block, one at the extractor input, one per DPRNN half.
+        assert ops.count("layer_norm") == 3 * cfg.vtcn_repeats + 1 + 2 * cfg.repeats
+        assert "sqrt" not in ops
 
 
 class TestGradientChecks:

@@ -93,6 +93,9 @@ SIM_OK = "clip_s = 1.0,1.4\nutterance_s = 3.0,4.0\n"
     ("train", "weights = 1,1,1\n",
      "'weights': expected 4 comma-separated numbers"),
     ("train", "max_epochs = many\n", "'max_epochs'"),
+    ("train", "kernel_len = 41\n", "encoder kernel_len must be even and positive"),
+    ("simulate", "clip_s = 9.0,9.5\nutterance_s = 3.0,4.0\n",
+     "utterances must be at least as long as the longest clip"),
 ])
 def test_malformed_config_gives_param_exit_code(tmp_path, capsys, command,
                                                 text, message):
@@ -111,7 +114,8 @@ def test_malformed_config_gives_param_exit_code(tmp_path, capsys, command,
     assert str(cfg) in err
 
 
-@pytest.mark.parametrize("damage", ["truncate", "trailing", "unknown_key"])
+@pytest.mark.parametrize("damage", ["truncate", "trailing", "unknown_key",
+                                    "bad_shape"])
 def test_malformed_checkpoint_gives_param_exit_code(tmp_path, capsys, damage):
     from usev.checkpoint import save_checkpoint
     from usev.gradcheck import micro_config
@@ -121,7 +125,10 @@ def test_malformed_checkpoint_gives_param_exit_code(tmp_path, capsys, damage):
     meta = {"model_config": dict(micro_config().__dict__)}
     if damage == "unknown_key":
         meta["model_config"]["kernal_len"] = 4
-    save_checkpoint(ckpt, UsevNet(micro_config()).state_dict(), meta)
+    state = UsevNet(micro_config()).state_dict()
+    if damage == "bad_shape":
+        state["enc.w"] = state["enc.w"][..., :2]
+    save_checkpoint(ckpt, state, meta)
     raw = ckpt.read_bytes()
     if damage == "truncate":
         ckpt.write_bytes(raw[:-3])
@@ -130,3 +137,32 @@ def test_malformed_checkpoint_gives_param_exit_code(tmp_path, capsys, damage):
     assert run(["evaluate", "--checkpoint", ckpt, "--test-manifest",
                 tmp_path / "none.jsonl", "--out", tmp_path / "o"]) == 2
     assert str(ckpt) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("mixture_path", None), ("target_path", ""), ("visemes_path", 7)])
+def test_malformed_manifest_gives_param_exit_code(tmp_path, capsys, field,
+                                                  value):
+    import json
+
+    from usev.gradcheck import micro_config
+    from usev.harness import save_model
+    from usev.model import UsevNet
+
+    ckpt = tmp_path / "m.ckpt"
+    save_model(ckpt, UsevNet(micro_config()))
+    good = {"clip_id": "a", "sample_rate": 8000, "clip_len": 10,
+            "track": [[0, 10, "QQ"]], "effective_visual_ratio": 1.0,
+            "mixture_path": "m.wav", "target_path": "t.wav",
+            "visemes_path": "v.bin"}
+    bad = dict(good, clip_id="b")
+    if value is None:
+        del bad[field]
+    else:
+        bad[field] = value
+    manifest = tmp_path / "man.jsonl"
+    manifest.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    assert run(["evaluate", "--checkpoint", ckpt, "--test-manifest", manifest,
+                "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "line 2" in err and field in err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from usev.audio_io import read_raw_f32, read_wav, write_raw_f32, write_wav
+from usev.audio_io import read_wav, write_wav
 from usev.dsp import (AudioClip, FrameMatrix, add_frames, energy, frame_signal,
                       gather_frames, measure_snr_db, overlap_add, scale_to_snr)
 
@@ -184,12 +184,6 @@ class TestFileIO:
         write_wav(tmp_path / "a.wav", a)
         write_wav(tmp_path / "b.wav", a)
         assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
-
-    def test_raw_f32_round_trip(self, tmp_path):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal(321)
-        write_raw_f32(tmp_path / "x.f32", x)
-        np.testing.assert_allclose(read_raw_f32(tmp_path / "x.f32"), x, atol=1e-6)
 
     def test_unknown_encoding(self, tmp_path):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from usev import autodiff as ad
 from usev.config import model_config, parse_kv_file, sim_config, train_config
 from usev.dsp import AudioClip
 from usev.harness import (DEFAULT_WEIGHT_GRID, TrainConfig, evaluate,
@@ -107,6 +108,40 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             train(TrainConfig(), TINY_MODEL, [], [], tmp_path)
+
+    def test_non_finite_stops_before_the_adam_step(self, tiny_records,
+                                                   tmp_path, monkeypatch):
+        # A NaN put into a weight after the first step poisons the second
+        # step's loss and gradients; training must stop before Adam sees them.
+        seen = {}
+
+        class PoisonAfterFirstStep(ad.Adam):
+            def step(self):
+                super().step()
+                if self.t == 1:
+                    seen["opt"] = self
+                    seen["snap"] = [(p.data.copy(), m.copy(), v.copy())
+                                    for p, m, v in zip(self.params, self._m, self._v)]
+                    self.params[0].data.flat[0] = np.nan
+
+        monkeypatch.setattr(ad, "Adam", PoisonAfterFirstStep)
+        cfg = TrainConfig(lr0=0.001, max_epochs=2, batch_size=2,
+                          clip_truncate_s=0.5, loss="differentiated", seed=7)
+        # Epoch 0's order is the first draw of the harness's training rng.
+        order = np.random.default_rng([cfg.seed, 99]).permutation(4)
+        with pytest.raises(ValueError) as err:
+            train(cfg, TINY_MODEL, tiny_records, tiny_records, tmp_path)
+        msg = str(err.value)
+        assert msg.startswith("epoch 0 step 1: non-finite loss and gradient of")
+        assert str([tiny_records[i].clip_id for i in order[2:]]) in msg
+        opt = seen["opt"]
+        assert opt.t == 1
+        for p, m, v, (p0, m0, v0) in zip(opt.params, opt._m, opt._v, seen["snap"]):
+            assert np.array_equal(m, m0) and np.array_equal(v, v0)
+            assert np.isfinite(m).all() and np.isfinite(v).all()
+            keep = np.isfinite(p.data)
+            assert np.array_equal(p.data[keep], p0[keep])
+        assert (~np.isfinite(opt.params[0].data)).sum() == 1
 
 
 class TestSaveLoadModel:

@@ -546,13 +546,13 @@ def read_manifest(path) -> list[dict]:
 def read_records(path) -> list[MixtureRecord]:
     """Load every clip a manifest lists, relative to the manifest's folder.
     Every row's path fields are checked before any file is opened."""
-    rows = _numbered_rows(path)
+    rows, base = _numbered_rows(path), Path(path).parent
     for lineno, row in rows:
         for k in _ROW_PATHS:
             if not isinstance(row.get(k), str) or not row[k]:
                 raise ValueError(f"{path}: line {lineno}: field {k!r} must be "
                                  f"a non-empty path string, got {row.get(k)!r}")
-    return [load_record(row, Path(path).parent) for _, row in rows]
+    return [load_record(row, base) for _, row in rows]
 
 
 def load_record(row: dict, base_dir) -> MixtureRecord:

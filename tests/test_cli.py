@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -143,8 +145,6 @@ def test_malformed_checkpoint_gives_param_exit_code(tmp_path, capsys, damage):
     ("mixture_path", None), ("target_path", ""), ("visemes_path", 7)])
 def test_malformed_manifest_gives_param_exit_code(tmp_path, capsys, field,
                                                   value):
-    import json
-
     from usev.gradcheck import micro_config
     from usev.harness import save_model
     from usev.model import UsevNet

@@ -245,9 +245,8 @@ def load_model(path) -> tuple[UsevNet, dict]:
     if bad:
         raise ValueError(f"{path}: model_config fields {bad} are unknown, "
                          "missing or of another type than their default")
-    model = UsevNet(UsevConfig(**cfg))
     try:
-        model.load_state_dict(state)
+        model = UsevNet.from_state_dict(UsevConfig(**cfg), state)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
     return model, meta

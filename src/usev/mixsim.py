@@ -210,8 +210,8 @@ def simulate_highly_overlapped(spec: MixtureSpec, corpus: UtteranceBank,
     (near-)all SS.
     """
     cfg = corpus.cfg
-    lengths = [len(corpus.get(spec.target_source).clip)]
-    lengths += [len(corpus.get(i).clip) for i in spec.interference_sources]
+    lengths = [corpus.length(i)
+               for i in [spec.target_source, *spec.interference_sources]]
     spf = cfg.samples_per_frame
     clip_len = (min(lengths) // spf) * spf
     full = replace(
@@ -291,7 +291,7 @@ def _pick_utterance(rng, bank: UtteranceBank, min_len: int,
                     exclude_speakers=(), prefer: str | None = None) -> int | None:
     pool = [i for i in range(len(bank))
             if bank.speaker_of(i) not in exclude_speakers
-            and len(bank.get(i).clip) >= min_len]
+            and bank.length(i) >= min_len]
     if not pool:
         return None
     picks = rng.choice(len(pool), size=min(6, len(pool)), replace=False)
@@ -355,9 +355,8 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
         t_idx = _pick_utterance(rng, bank, clip_len, prefer=prefer)
         if t_idx is None:
             raise ValueError("no utterance long enough for the requested clip")
-        t_utt = bank.get(t_idx)
-        t0 = int(rng.integers(0, (len(t_utt.clip) - clip_len) // spf + 1)) * spf
-        t_mask = t_utt.activity[t0 : t0 + clip_len]
+        t0 = int(rng.integers(0, (bank.length(t_idx) - clip_len) // spf + 1)) * spf
+        t_mask = bank.activity(t_idx)[t0 : t0 + clip_len]
         if not t_mask.any():
             continue
         t_act = int(t_mask.sum())
@@ -371,8 +370,7 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
                                   prefer=prefer)
             if idx is None:
                 break
-            utt = bank.get(idx)
-            act = utt.activity
+            act = bank.activity(idx)
             short = hi <= 0.4 and rng.random() < 0.5
             if short:
                 # Short burst placed inside the clip.
@@ -402,7 +400,7 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
             src_c0, src_len = crops[-1]
             place = np.zeros(clip_len, dtype=bool)
             place[offsets[-1] : offsets[-1] + src_len] = \
-                bank.get(idx).activity[src_c0 : src_c0 + src_len]
+                act[src_c0 : src_c0 + src_len]
             combined |= place
             snrs.append(float(rng.uniform(*cfg.snr_db)))
         if not sources:
@@ -545,13 +543,19 @@ def read_manifest(path) -> list[dict]:
 
 def read_records(path) -> list[MixtureRecord]:
     """Load every clip a manifest lists, relative to the manifest's folder.
-    Every row's path fields are checked before any file is opened."""
+    Every row's path fields are checked, and then every named file, before
+    any file is opened."""
     rows, base = _numbered_rows(path), Path(path).parent
     for lineno, row in rows:
         for k in _ROW_PATHS:
             if not isinstance(row.get(k), str) or not row[k]:
                 raise ValueError(f"{path}: line {lineno}: field {k!r} must be "
                                  f"a non-empty path string, got {row.get(k)!r}")
+    for lineno, row in rows:
+        for k in _ROW_PATHS:
+            if not (base / row[k]).is_file():
+                raise ValueError(f"{path}: line {lineno}: field {k!r} names "
+                                 f"no file: {base / row[k]}")
     return [load_record(row, base) for _, row in rows]
 
 

@@ -61,80 +61,106 @@ class UsevConfig:
         return (n_samples - self.kernel_len) // self.hop + 1
 
 
+def _layout(cfg: UsevConfig) -> dict[str, tuple]:
+    """Every parameter in creation order: name -> (shape, trainable, init),
+    where init(rng) returns the initial array. Only uniform inits draw."""
+    specs = {}
+
+    def const(name, value):
+        value = np.asarray(value, dtype=np.float64)
+        specs[name] = (value.shape, True, lambda rng: value)
+
+    def uniform(name, shape, fan_in, trainable=True):
+        limit = 1.0 / np.sqrt(fan_in)
+        specs[name] = (shape, trainable,
+                       lambda rng: rng.uniform(-limit, limit, size=shape))
+
+    def ln(name, channels, extra_dims=1):
+        shape = (channels,) + (1,) * extra_dims
+        const(f"{name}.gain", np.ones(shape))
+        const(f"{name}.bias", np.zeros(shape))
+
+    def lstm(name, in_dim, hidden):
+        for d in ("f", "b"):
+            uniform(f"{name}.wx_{d}", (in_dim, 4 * hidden), in_dim)
+            uniform(f"{name}.wh_{d}", (hidden, 4 * hidden), hidden)
+            bias = np.zeros(4 * hidden)
+            bias[hidden : 2 * hidden] = 1.0  # forget gate starts open
+            const(f"{name}.b_{d}", bias)
+
+    n, b, l = cfg.encoder_dim, cfg.bottleneck, cfg.kernel_len
+    uniform("enc.w", (n, 1, l), l)
+    const("enc.b", np.zeros(n))
+
+    # Frozen stand-in for a pretrained lip-embedding front-end.
+    uniform("vis.proj", (cfg.visual_dim, n), cfg.visual_dim, trainable=False)
+    for v in range(cfg.vtcn_repeats):
+        p = f"vtcn{v}"
+        ln(f"{p}.ln1", n)
+        uniform(f"{p}.lin1.w", (2 * n, n), n)
+        const(f"{p}.lin1.b", np.zeros((2 * n, 1)))
+        ln(f"{p}.ln2", 2 * n)
+        uniform(f"{p}.conv.w", (2 * n, 1, 3), 3)
+        const(f"{p}.conv.b", np.zeros(2 * n))
+        ln(f"{p}.ln3", 2 * n)
+        uniform(f"{p}.lin2.w", (n, 2 * n), 2 * n)
+        const(f"{p}.lin2.b", np.zeros((n, 1)))
+
+    ln("ext.ln_in", n)
+    uniform("ext.lin1.w", (b, n), n)
+    const("ext.lin1.b", np.zeros((b, 1)))
+    uniform("ext.lin2.w", (b, b + n), b + n)
+    const("ext.lin2.b", np.zeros((b, 1)))
+
+    hidden = 2 * b
+    for r in range(cfg.repeats):
+        for path in ("intra", "inter"):
+            p = f"dprnn{r}.{path}"
+            lstm(f"{p}.lstm", b, hidden)
+            uniform(f"{p}.lin.w", (4 * b, b), 4 * b)
+            const(f"{p}.lin.b", np.zeros(b))
+            ln(f"{p}.ln", b, extra_dims=2)
+
+    const("ext.prelu", np.array(0.25))
+    uniform("ext.lin5.w", (n, b), b)
+    const("ext.lin5.b", np.zeros((n, 1)))
+
+    uniform("dec.w", (l, n), n)
+    const("dec.b", np.zeros((l, 1)))
+    return specs
+
+
 class UsevNet:
     """Extractor network; owns named parameter tensors and a config."""
 
     def __init__(self, cfg: UsevConfig, seed: int = 0):
         self.cfg = cfg
-        self.params: dict[str, Tensor] = {}
-        self._build(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        self.params: dict[str, Tensor] = {
+            name: Tensor(init(rng), requires_grad=trainable)
+            for name, (_, trainable, init) in _layout(cfg).items()}
 
-    # -- parameter setup ---------------------------------------------------
-
-    def _add(self, name: str, data, trainable: bool = True) -> Tensor:
-        t = Tensor(np.asarray(data, dtype=np.float64), requires_grad=trainable)
-        self.params[name] = t
-        return t
-
-    def _uniform(self, rng, name, shape, fan_in, trainable=True) -> Tensor:
-        limit = 1.0 / np.sqrt(fan_in)
-        return self._add(name, rng.uniform(-limit, limit, size=shape), trainable)
-
-    def _ln(self, rng, name, channels, extra_dims=1):
-        shape = (channels,) + (1,) * extra_dims
-        self._add(f"{name}.gain", np.ones(shape))
-        self._add(f"{name}.bias", np.zeros(shape))
-
-    def _lstm(self, rng, name, in_dim, hidden):
-        for d in ("f", "b"):
-            self._uniform(rng, f"{name}.wx_{d}", (in_dim, 4 * hidden), in_dim)
-            self._uniform(rng, f"{name}.wh_{d}", (hidden, 4 * hidden), hidden)
-            bias = np.zeros(4 * hidden)
-            bias[hidden : 2 * hidden] = 1.0  # forget gate starts open
-            self._add(f"{name}.b_{d}", bias)
-
-    def _build(self, rng):
-        cfg = self.cfg
-        n, b, l = cfg.encoder_dim, cfg.bottleneck, cfg.kernel_len
-        self._uniform(rng, "enc.w", (n, 1, l), l)
-        self._add("enc.b", np.zeros(n))
-
-        # Frozen stand-in for a pretrained lip-embedding front-end.
-        self._uniform(rng, "vis.proj", (cfg.visual_dim, n), cfg.visual_dim,
-                      trainable=False)
-        for v in range(cfg.vtcn_repeats):
-            p = f"vtcn{v}"
-            self._ln(rng, f"{p}.ln1", n)
-            self._uniform(rng, f"{p}.lin1.w", (2 * n, n), n)
-            self._add(f"{p}.lin1.b", np.zeros((2 * n, 1)))
-            self._ln(rng, f"{p}.ln2", 2 * n)
-            self._uniform(rng, f"{p}.conv.w", (2 * n, 1, 3), 3)
-            self._add(f"{p}.conv.b", np.zeros(2 * n))
-            self._ln(rng, f"{p}.ln3", 2 * n)
-            self._uniform(rng, f"{p}.lin2.w", (n, 2 * n), 2 * n)
-            self._add(f"{p}.lin2.b", np.zeros((n, 1)))
-
-        self._ln(rng, "ext.ln_in", n)
-        self._uniform(rng, "ext.lin1.w", (b, n), n)
-        self._add("ext.lin1.b", np.zeros((b, 1)))
-        self._uniform(rng, "ext.lin2.w", (b, b + n), b + n)
-        self._add("ext.lin2.b", np.zeros((b, 1)))
-
-        hidden = 2 * b
-        for r in range(cfg.repeats):
-            for path in ("intra", "inter"):
-                p = f"dprnn{r}.{path}"
-                self._lstm(rng, f"{p}.lstm", b, hidden)
-                self._uniform(rng, f"{p}.lin.w", (4 * b, b), 4 * b)
-                self._add(f"{p}.lin.b", np.zeros(b))
-                self._ln(rng, f"{p}.ln", b, extra_dims=2)
-
-        self._add("ext.prelu", np.array(0.25))
-        self._uniform(rng, "ext.lin5.w", (n, b), b)
-        self._add("ext.lin5.b", np.zeros((n, 1)))
-
-        self._uniform(rng, "dec.w", (l, n), n)
-        self._add("dec.b", np.zeros((l, 1)))
+    @classmethod
+    def from_state_dict(cls, cfg: UsevConfig,
+                        state: dict[str, np.ndarray]) -> "UsevNet":
+        """A net holding copies of state's arrays, built without drawing an
+        initialisation; names and shapes must match cfg's layout."""
+        layout = _layout(cfg)
+        missing = set(layout) - set(state)
+        extra = set(state) - set(layout)
+        if missing or extra:
+            raise ValueError(f"checkpoint mismatch: missing {sorted(missing)}, "
+                             f"unexpected {sorted(extra)}")
+        params = {}
+        for k, (shape, trainable, _) in layout.items():
+            arr = np.array(state[k], dtype=np.float64)
+            if arr.shape != shape:
+                raise ValueError(f"shape mismatch for {k}: checkpoint "
+                                 f"{arr.shape} vs model {shape}")
+            params[k] = Tensor(arr, requires_grad=trainable)
+        net = cls.__new__(cls)
+        net.cfg, net.params = cfg, params
+        return net
 
     # -- parameter access ----------------------------------------------------
 
@@ -147,19 +173,6 @@ class UsevNet:
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: t.data.copy() for k, t in self.params.items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        missing = set(self.params) - set(state)
-        extra = set(state) - set(self.params)
-        if missing or extra:
-            raise ValueError(f"checkpoint mismatch: missing {sorted(missing)}, "
-                             f"unexpected {sorted(extra)}")
-        for k, t in self.params.items():
-            arr = np.asarray(state[k], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ValueError(f"shape mismatch for {k}: checkpoint "
-                                 f"{arr.shape} vs model {t.data.shape}")
-            t.data = arr.copy()
 
     # -- building blocks -------------------------------------------------------
 

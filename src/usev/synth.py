@@ -70,13 +70,11 @@ def _activity_pattern(rng, n: int, sample_rate: int, duty: float,
     return mask
 
 
-def gen_utterance(seed, duration_s: float, cfg, duty: float | None = None,
-                  quiet: bool = False, speaker: int | None = None) -> SyntheticUtterance:
-    """Synthesize one utterance; bit-identical for identical arguments.
-
-    cfg needs: sample_rate, viseme_fps, visual_dim, n_speakers,
-    min_utterance_s, speech_span_s, utterance_rms.
-    """
+def _sketch(seed, duration_s: float, cfg, duty: float | None, quiet: bool,
+            speaker: int | None):
+    """The seeded prefix of gen_utterance: the speaker and f0 draws and the
+    activity mask. Returns (rng, speaker, f0, activity); the render goes on
+    drawing from rng."""
     if duration_s < cfg.min_utterance_s:
         raise ValueError(
             f"utterance of {duration_s:.2f}s is below the minimum "
@@ -96,6 +94,20 @@ def gen_utterance(seed, duration_s: float, cfg, duty: float | None = None,
         if duty is None:
             duty = rng.uniform(0.35, 0.95)
         activity = _activity_pattern(rng, n, sr, duty, cfg.speech_span_s)
+    return rng, speaker, f0, activity
+
+
+def gen_utterance(seed, duration_s: float, cfg, duty: float | None = None,
+                  quiet: bool = False, speaker: int | None = None) -> SyntheticUtterance:
+    """Synthesize one utterance; bit-identical for identical arguments.
+
+    cfg needs: sample_rate, viseme_fps, visual_dim, n_speakers,
+    min_utterance_s, speech_span_s, utterance_rms.
+    """
+    rng, speaker, f0, activity = _sketch(seed, duration_s, cfg, duty, quiet,
+                                         speaker)
+    sr = cfg.sample_rate
+    n = len(activity)
 
     audio = np.zeros(n)
     phoneme = np.full(n, -1, dtype=np.int32)
@@ -157,7 +169,11 @@ def gen_utterance(seed, duration_s: float, cfg, duty: float | None = None,
 
 class UtteranceBank:
     """Lazy, cached pool of utterances; utterance i is a pure function of
-    (bank seed, i). Speakers cycle so distinct-speaker picks are easy."""
+    (bank seed, i). Speakers cycle so distinct-speaker picks are easy.
+
+    `length` and `activity` come from a sketch (the activity mask without
+    the waveform), so a planner can rank every utterance while `get`
+    renders only those it picks."""
 
     def __init__(self, cfg, seed: int, count: int, fully_active: bool = False):
         if count < 2:
@@ -167,6 +183,7 @@ class UtteranceBank:
         self.count = int(count)
         self.fully_active = fully_active
         self._cache: dict[int, SyntheticUtterance] = {}
+        self._masks: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.count
@@ -174,24 +191,38 @@ class UtteranceBank:
     def speaker_of(self, i: int) -> int:
         return i % self.cfg.n_speakers
 
-    def get(self, i: int) -> SyntheticUtterance:
+    def _args(self, i: int) -> tuple:
+        """gen_utterance's (seed, duration_s, cfg, duty, quiet, speaker)."""
         if not 0 <= i < self.count:
             raise ValueError(f"utterance index {i} out of range [0, {self.count})")
+        rng = np.random.default_rng([self.seed, 1000 + i])
+        duration = float(rng.uniform(*self.cfg.utterance_s))
+        # Snap to the viseme-frame grid so crops stay frame-aligned.
+        frame_s = 1.0 / self.cfg.viseme_fps
+        duration = max(self.cfg.min_utterance_s,
+                       round(duration / frame_s) * frame_s)
+        duty = 1.0 if self.fully_active else float(rng.uniform(0.35, 0.95))
+        return ([self.seed, 1000 + i, 1], duration, self.cfg, duty, False,
+                self.speaker_of(i))
+
+    def get(self, i: int) -> SyntheticUtterance:
         if i not in self._cache:
-            rng = np.random.default_rng([self.seed, 1000 + i])
-            duration = float(rng.uniform(*self.cfg.utterance_s))
-            # Snap to the viseme-frame grid so crops stay frame-aligned.
-            frame_s = 1.0 / self.cfg.viseme_fps
-            duration = max(self.cfg.min_utterance_s,
-                           round(duration / frame_s) * frame_s)
-            duty = 1.0 if self.fully_active else float(rng.uniform(0.35, 0.95))
-            self._cache[i] = gen_utterance(
-                [self.seed, 1000 + i, 1], duration, self.cfg,
-                duty=duty, speaker=self.speaker_of(i))
+            self._cache[i] = gen_utterance(*self._args(i))
         return self._cache[i]
 
+    def activity(self, i: int) -> np.ndarray:
+        """Utterance i's activity mask, without rendering it."""
+        if i in self._cache:
+            return self._cache[i].activity
+        if i not in self._masks:
+            self._masks[i] = _sketch(*self._args(i))[3]
+        return self._masks[i]
+
+    def length(self, i: int) -> int:
+        return len(self.activity(i))
+
     def active_fraction(self, i: int) -> float:
-        return self.get(i).active_fraction
+        return float(np.mean(self.activity(i)))
 
 
 def colored_noise(rng, n: int, tilt: float) -> np.ndarray:

@@ -166,3 +166,28 @@ def test_malformed_manifest_gives_param_exit_code(tmp_path, capsys, field,
                 "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert str(manifest) in err and "line 2" in err and field in err
+
+
+def test_missing_data_file_gives_param_exit_code(tmp_path, capsys,
+                                                 monkeypatch):
+    from usev import audio_io
+    from usev.gradcheck import micro_config
+    from usev.harness import save_model
+    from usev.mixsim import SimConfig, write_corpus
+    from usev.model import UsevNet
+
+    ckpt = tmp_path / "m.ckpt"
+    save_model(ckpt, UsevNet(micro_config()))
+    sim = SimConfig(clip_s=(0.6, 0.8), utterance_s=(3.0, 4.0), n_utterances=8,
+                    n_speakers=4)
+    manifest = write_corpus(sim, 2, 7, tmp_path / "corpus")
+    (tmp_path / "corpus" / read_manifest(manifest)[1]["target_path"]).unlink()
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a data file was opened before the check")
+
+    monkeypatch.setattr(audio_io, "read_wav", no_read)
+    assert run(["evaluate", "--checkpoint", ckpt, "--test-manifest", manifest,
+                "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "line 2" in err and "target_path" in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from usev import autodiff as ad
+from usev.checkpoint import load_checkpoint
 from usev.config import model_config, parse_kv_file, sim_config, train_config
 from usev.dsp import AudioClip
 from usev.harness import (DEFAULT_WEIGHT_GRID, TrainConfig, evaluate,
@@ -153,6 +154,24 @@ class TestSaveLoadModel:
         assert back.cfg == TINY_MODEL
         for k, v in net.state_dict().items():
             np.testing.assert_array_equal(back.state_dict()[k], v)
+
+    def test_load_copies_the_checkpoint_without_a_random_init(
+            self, tmp_path, monkeypatch):
+        net = UsevNet(TINY_MODEL, seed=9)
+        save_model(tmp_path / "m.ckpt", net)
+        saved, _ = load_checkpoint(tmp_path / "m.ckpt")
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("load_model drew a random initialisation")
+
+        monkeypatch.setattr(UsevNet, "__init__", no_init)
+        back, _ = load_model(tmp_path / "m.ckpt")
+        assert list(back.params) == list(net.params)
+        for k, t in back.params.items():
+            assert t.data.dtype == np.float64
+            assert t.data.tobytes() == saved[k].astype(np.float64).tobytes()
+            assert t.data.tobytes() == net.params[k].data.tobytes()
+            assert t.requires_grad == net.params[k].requires_grad
 
 
 class TestEvaluate:

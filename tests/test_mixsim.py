@@ -1,9 +1,11 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from usev import mixsim, synth
 from usev.dsp import energy, measure_snr_db
 from usev.mixsim import (MixtureSpec, SimConfig, apply_occlusion, corpus_stats,
                          iter_corpus, iter_overlapped_corpus, load_record,
@@ -79,6 +81,112 @@ class TestUtteranceBank:
     def test_out_of_range(self, bank):
         with pytest.raises(ValueError):
             bank.get(99)
+
+
+class TestSketches:
+    @pytest.mark.parametrize("fully_active", [False, True])
+    def test_sketch_agrees_with_render(self, fully_active):
+        bank = UtteranceBank(FAST, seed=12, count=6, fully_active=fully_active)
+        for i in range(len(bank)):
+            sketch = (bank.length(i), bank.activity(i).copy(),
+                      bank.active_fraction(i))
+            utt = bank.get(i)
+            rendered = (bank.length(i), bank.activity(i),
+                        bank.active_fraction(i))
+            for length, act, frac in (sketch, rendered):
+                assert length == len(utt.clip)
+                assert np.array_equal(act, utt.activity)
+                assert frac == utt.active_fraction
+            assert utt.activity.all() == fully_active
+
+    def test_sketch_renders_nothing(self, monkeypatch):
+        def no_render(*args, **kwargs):
+            raise AssertionError("a sketch rendered an utterance")
+
+        monkeypatch.setattr(synth, "gen_utterance", no_render)
+        bank = UtteranceBank(CFG, seed=3, count=CFG.n_utterances)
+        for i in range(len(bank)):
+            assert bank.length(i) == len(bank.activity(i))
+            assert 0.0 < bank.active_fraction(i) < 1.0
+        for query in (bank.length, bank.activity, bank.active_fraction):
+            with pytest.raises(ValueError, match="out of range"):
+                query(len(bank))
+
+
+class EagerBank(UtteranceBank):
+    """Every utterance rendered before planning starts."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for i in range(len(self)):
+            self.get(i)
+
+
+def assert_same_record(a, b):
+    assert a.clip_id == b.clip_id
+    assert a.spec == b.spec
+    for x, y in ((a.mixture.samples, b.mixture.samples),
+                 (a.target_truth.samples, b.target_truth.samples),
+                 (a.viseme_stream, b.viseme_stream)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert a.track.to_triples() == b.track.to_triples()
+    assert a.occlusion_spans == b.occlusion_spans
+    assert a.effective_visual_ratio == b.effective_visual_ratio
+    assert a.components.keys() == b.components.keys()
+    for k in a.components:
+        assert a.components[k].tobytes() == b.components[k].tobytes()
+
+
+class TestPlanningOnSketches:
+    @pytest.mark.parametrize("cfg,count,seed,occlusion", [
+        (CFG, 6, 0, None),
+        (SimConfig(sample_rate=16000, clip_s=(4.0, 4.0), noisy=True), 3, 1001,
+         (0.2, 0.8)),
+        (FAST, 30, 5, None),
+        (replace(FAST, ta_prob=0.5), 12, 6, None),
+    ], ids=["default", "16k_4s", "fast", "fast_target_absent"])
+    def test_matches_an_eager_bank(self, monkeypatch, cfg, count, seed,
+                                   occlusion):
+        lazy = list(iter_corpus(cfg, count, seed, occlusion=occlusion))
+        monkeypatch.setattr(mixsim, "UtteranceBank", EagerBank)
+        eager = list(iter_corpus(cfg, count, seed, occlusion=occlusion))
+        assert len(lazy) == len(eager) == count
+        for a, b in zip(lazy, eager):
+            assert_same_record(a, b)
+        if cfg.ta_prob == 0.5:
+            assert any(r.spec.target_absent for r in lazy)
+
+    def test_overlapped_corpus_matches_an_eager_bank(self, monkeypatch):
+        cfg = SimConfig(utterance_s=(4.0, 6.0), clip_s=(3.0, 4.0),
+                        n_utterances=8)
+        lazy = list(iter_overlapped_corpus(cfg, 4, seed=4))
+        monkeypatch.setattr(mixsim, "UtteranceBank", EagerBank)
+        eager = list(iter_overlapped_corpus(cfg, 4, seed=4))
+        assert len(lazy) == len(eager) == 4
+        for a, b in zip(lazy, eager):
+            assert_same_record(a, b)
+
+    def test_one_clip_corpus_renders_only_what_it_uses(self, tmp_path,
+                                                       monkeypatch):
+        rendered = []
+        real = synth.gen_utterance
+
+        def counting(seed, *args, **kwargs):
+            rendered.append(seed[1] - 1000)  # the bank seeds [seed, 1000 + i, 1]
+            return real(seed, *args, **kwargs)
+
+        monkeypatch.setattr(synth, "gen_utterance", counting)
+        for corpus_seed in range(4):
+            rendered.clear()
+            write_corpus(CFG, 1, corpus_seed, tmp_path / str(corpus_seed))
+            used = set(rendered)
+            assert len(rendered) == len(used)
+            assert len(used) < 10
+            spec = next(iter_corpus(CFG, 1, corpus_seed)).spec
+            named = set(spec.interference_sources)
+            if not spec.target_absent:
+                named.add(spec.target_source)
+            assert named <= used
 
 
 class TestWindowOverlap:

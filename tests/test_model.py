@@ -195,25 +195,22 @@ class TestParameters:
     def test_state_dict_round_trip(self):
         net = UsevNet(DESK, seed=14)
         state = net.state_dict()
-        other = UsevNet(DESK, seed=15)
-        other.load_state_dict(state)
+        other = UsevNet.from_state_dict(DESK, state)
         x, v = tiny_inputs(DESK, seed=6)
         np.testing.assert_array_equal(net.forward(x, v).data,
                                       other.forward(x, v).data)
 
     def test_load_rejects_shape_mismatch(self):
-        net = UsevNet(DESK, seed=16)
-        state = net.state_dict()
+        state = UsevNet(DESK, seed=16).state_dict()
         state["enc.w"] = state["enc.w"][:, :, :-2]
-        with pytest.raises(ValueError):
-            net.load_state_dict(state)
+        with pytest.raises(ValueError, match="shape mismatch for enc.w"):
+            UsevNet.from_state_dict(DESK, state)
 
     def test_load_rejects_missing_keys(self):
-        net = UsevNet(DESK, seed=17)
-        state = net.state_dict()
+        state = UsevNet(DESK, seed=17).state_dict()
         state.pop("dec.w")
-        with pytest.raises(ValueError):
-            net.load_state_dict(state)
+        with pytest.raises(ValueError, match=r"missing \['dec.w'\]"):
+            UsevNet.from_state_dict(DESK, state)
 
     def test_visual_projection_is_frozen(self):
         net = UsevNet(DESK, seed=18)

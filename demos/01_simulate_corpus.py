@@ -15,8 +15,7 @@ cfg = SimConfig(clip_s=(3.0, 4.0), utterance_s=(5.0, 7.0), n_utterances=16,
                 n_speakers=8, noisy=True)
 
 # The utterance bank is lazy and deterministic: utterance i is a pure
-# function of (bank seed, i). The planner reads only each utterance's
-# activity sketch (length and mask); get(i) renders the waveform.
+# function of (bank seed, i).
 bank = UtteranceBank(cfg, seed=42, count=cfg.n_utterances)
 u = bank.get(0)
 print(f"utterance 0: {u.clip.duration_s:.2f} s, speaker {u.speaker_id}, "

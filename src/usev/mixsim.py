@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from . import audio_io
 from .dsp import AudioClip, snr_gain
@@ -210,8 +209,8 @@ def simulate_highly_overlapped(spec: MixtureSpec, corpus: UtteranceBank,
     (near-)all SS.
     """
     cfg = corpus.cfg
-    lengths = [corpus.length(i)
-               for i in [spec.target_source, *spec.interference_sources]]
+    lengths = [len(corpus.get(spec.target_source).clip)]
+    lengths += [len(corpus.get(i).clip) for i in spec.interference_sources]
     spf = cfg.samples_per_frame
     clip_len = (min(lengths) // spf) * spf
     full = replace(
@@ -252,18 +251,52 @@ def apply_occlusion(record: MixtureRecord, seed,
 
 # -- corpus planning ----------------------------------------------------------------
 
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end (exclusive) of every run of True in mask."""
+    bounds = np.concatenate(([0], np.flatnonzero(mask[1:] != mask[:-1]) + 1,
+                             [len(mask)]))
+    first = 0 if mask[0] else 1
+    return bounds[first:-1:2], bounds[first + 1 :: 2]
+
+
+def _shifted_overlaps(ta, tb, sa, sb, n: int) -> np.ndarray:
+    """|union of [ta + c, tb + c) AND union of [sa, sb)| for c in [0, n).
+
+    A run [a, b) shifted by c meets a run [p, q) in a trapezoid of c: the sum
+    of the ramps max(0, c - x) at the knots x = p - b, p - a, q - b, q - a
+    with signs +1, -1, -1, +1. Between knots the count grows linearly, so it
+    is one cumulative sum of a piecewise-constant slope, exact in integers.
+    """
+    knots = np.concatenate([(p[None, :] - a[:, None]).ravel()
+                            for p, a in ((sa, tb), (sa, ta), (sb, tb), (sb, ta))])
+    signs = np.repeat([1, -1, -1, 1], len(ta) * len(sa))
+    order = np.argsort(knots, kind="stable")
+    knots, signs = knots[order], signs[order]
+    early = knots < 0  # ramps already rising at c = 0
+    start = -int(np.dot(signs[early], knots[early]))
+    steps = np.clip(knots, 0, n - 1)
+    slope = np.repeat(np.concatenate(([0], np.cumsum(signs))),
+                      np.diff(steps, prepend=0, append=n - 1))
+    out = np.empty(n, dtype=np.int64)
+    out[0] = start
+    np.cumsum(slope, out=out[1:])
+    out[1:] += start
+    return out
+
+
 def _window_overlap(t_mask: np.ndarray, seq: np.ndarray, win: int):
     """Overlap counts of every win-length window of seq against t_mask.
 
     Returns (ss, act): ss[c] = |t_mask AND seq[c:c+win]| (t_mask may be
     shorter than win; it is compared left-aligned), act[c] = |seq[c:c+win]|.
+    Both are exact and built from the masks' runs, not their samples; act
+    is the overlap with an all-active window.
     """
-    tf = t_mask.astype(np.float64)
-    ss = np.rint(fftconvolve(seq.astype(np.float64), tf[::-1], mode="valid"))
-    cums = np.concatenate(([0], np.cumsum(seq.astype(np.int64))))
-    act = cums[win:] - cums[:-win]
     n = len(seq) - win + 1
-    return ss[:n], act[:n]
+    sa, sb = _runs(seq)
+    ss = _shifted_overlaps(*_runs(t_mask), sa, sb, n).astype(np.float64)
+    act = _shifted_overlaps(np.array([0]), np.array([win]), sa, sb, n)
+    return ss, act
 
 
 def _pick_shift(rng, ss, i_act, t_act, lo, hi):
@@ -273,8 +306,7 @@ def _pick_shift(rng, ss, i_act, t_act, lo, hi):
     usable = (i_act > 0) & (denom > 0)
     if not usable.any():
         return None
-    ratio = np.full(ss.shape, np.nan)
-    ratio[usable] = ss[usable] / denom[usable]
+    ratio = np.divide(ss, denom, out=np.full(ss.shape, np.nan), where=usable)
     if hi == 0.0:
         hit = usable & (ss == 0)
     else:
@@ -291,7 +323,7 @@ def _pick_utterance(rng, bank: UtteranceBank, min_len: int,
                     exclude_speakers=(), prefer: str | None = None) -> int | None:
     pool = [i for i in range(len(bank))
             if bank.speaker_of(i) not in exclude_speakers
-            and bank.length(i) >= min_len]
+            and len(bank.get(i).clip) >= min_len]
     if not pool:
         return None
     picks = rng.choice(len(pool), size=min(6, len(pool)), replace=False)
@@ -355,8 +387,9 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
         t_idx = _pick_utterance(rng, bank, clip_len, prefer=prefer)
         if t_idx is None:
             raise ValueError("no utterance long enough for the requested clip")
-        t0 = int(rng.integers(0, (bank.length(t_idx) - clip_len) // spf + 1)) * spf
-        t_mask = bank.activity(t_idx)[t0 : t0 + clip_len]
+        t_utt = bank.get(t_idx)
+        t0 = int(rng.integers(0, (len(t_utt.clip) - clip_len) // spf + 1)) * spf
+        t_mask = t_utt.activity[t0 : t0 + clip_len]
         if not t_mask.any():
             continue
         t_act = int(t_mask.sum())
@@ -370,7 +403,8 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
                                   prefer=prefer)
             if idx is None:
                 break
-            act = bank.activity(idx)
+            utt = bank.get(idx)
+            act = utt.activity
             short = hi <= 0.4 and rng.random() < 0.5
             if short:
                 # Short burst placed inside the clip.
@@ -400,7 +434,7 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
             src_c0, src_len = crops[-1]
             place = np.zeros(clip_len, dtype=bool)
             place[offsets[-1] : offsets[-1] + src_len] = \
-                act[src_c0 : src_c0 + src_len]
+                bank.get(idx).activity[src_c0 : src_c0 + src_len]
             combined |= place
             snrs.append(float(rng.uniform(*cfg.snr_db)))
         if not sources:

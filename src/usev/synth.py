@@ -10,6 +10,7 @@ as are quiet audio spans. Everything is a pure function of the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .dsp import AudioClip
 _N_PHONEMES = 20
 _PHONEME_S = (0.08, 0.25)
 _RAMP_S = 0.02
+_HARMONIC_DECAY = 0.6 ** np.arange(4)
 
 # Fixed viseme projection of (envelope, phoneme) pairs; positive entries so
 # active frames are never accidentally zero.
@@ -36,6 +38,23 @@ def speaker_f0(speaker: int, n_speakers: int) -> float:
     return 90.0 * (230.0 / 90.0) ** (speaker / (n_speakers - 1))
 
 
+@lru_cache(maxsize=None)
+def _phoneme_times(sample_rate: int) -> np.ndarray:
+    """Sample times of the longest pseudo-phoneme; a phoneme of n samples
+    uses the first n, which equal np.arange(n) / sample_rate."""
+    t = np.arange(int(round(_PHONEME_S[1] * sample_rate)) + 1) / sample_rate
+    t.flags.writeable = False
+    return t
+
+
+@lru_cache(maxsize=None)
+def _ramp(r: int) -> np.ndarray:
+    """Raised-cosine onset of r samples; its reverse is the offset."""
+    win = 0.5 - 0.5 * np.cos(np.pi * np.arange(r) / r)
+    win.flags.writeable = False
+    return win
+
+
 @dataclass
 class SyntheticUtterance:
     clip: AudioClip
@@ -44,7 +63,7 @@ class SyntheticUtterance:
     speaker_id: str
     seed: object  # whatever seeded the generator, kept for provenance
 
-    @property
+    @cached_property
     def active_fraction(self) -> float:
         return float(np.mean(self.activity))
 
@@ -70,11 +89,13 @@ def _activity_pattern(rng, n: int, sample_rate: int, duty: float,
     return mask
 
 
-def _sketch(seed, duration_s: float, cfg, duty: float | None, quiet: bool,
-            speaker: int | None):
-    """The seeded prefix of gen_utterance: the speaker and f0 draws and the
-    activity mask. Returns (rng, speaker, f0, activity); the render goes on
-    drawing from rng."""
+def gen_utterance(seed, duration_s: float, cfg, duty: float | None = None,
+                  quiet: bool = False, speaker: int | None = None) -> SyntheticUtterance:
+    """Synthesize one utterance; bit-identical for identical arguments.
+
+    cfg needs: sample_rate, viseme_fps, visual_dim, n_speakers,
+    min_utterance_s, speech_span_s, utterance_rms.
+    """
     if duration_s < cfg.min_utterance_s:
         raise ValueError(
             f"utterance of {duration_s:.2f}s is below the minimum "
@@ -94,28 +115,19 @@ def _sketch(seed, duration_s: float, cfg, duty: float | None, quiet: bool,
         if duty is None:
             duty = rng.uniform(0.35, 0.95)
         activity = _activity_pattern(rng, n, sr, duty, cfg.speech_span_s)
-    return rng, speaker, f0, activity
-
-
-def gen_utterance(seed, duration_s: float, cfg, duty: float | None = None,
-                  quiet: bool = False, speaker: int | None = None) -> SyntheticUtterance:
-    """Synthesize one utterance; bit-identical for identical arguments.
-
-    cfg needs: sample_rate, viseme_fps, visual_dim, n_speakers,
-    min_utterance_s, speech_span_s, utterance_rms.
-    """
-    rng, speaker, f0, activity = _sketch(seed, duration_s, cfg, duty, quiet,
-                                         speaker)
-    sr = cfg.sample_rate
-    n = len(activity)
 
     audio = np.zeros(n)
     phoneme = np.full(n, -1, dtype=np.int32)
     ramp_n = int(_RAMP_S * sr)
+    omega = 2.0 * np.pi * f0
+    times = _phoneme_times(sr)
+    wave = np.empty(len(times))
 
-    # Walk each active run, tiling it with pseudo-phonemes.
+    # Walk each active run, tiling it with pseudo-phonemes. The harmonics are
+    # summed in place but in the same order and with the same roundings as
+    # seg += amps[h] * sin(omega * jitter * (h + 1) * t + phases[h]).
     edges = np.flatnonzero(np.diff(activity.astype(np.int8)))
-    bounds = np.concatenate(([0], edges + 1, [n]))
+    bounds = np.concatenate(([0], edges + 1, [n])).tolist()
     for a, b in zip(bounds[:-1], bounds[1:]):
         if not activity[a]:
             continue
@@ -124,18 +136,21 @@ def gen_utterance(seed, duration_s: float, cfg, duty: float | None = None,
             ph_n = min(b - pos, max(1, int(round(rng.uniform(*_PHONEME_S) * sr))))
             ph = int(rng.integers(_N_PHONEMES))
             jitter = rng.uniform(0.97, 1.03)
-            amps = rng.uniform(0.2, 1.0, size=4) * (0.6 ** np.arange(4))
+            amps = rng.uniform(0.2, 1.0, size=4) * _HARMONIC_DECAY
             phases = rng.uniform(0.0, 2.0 * np.pi, size=4)
-            t = np.arange(ph_n) / sr
-            seg = np.zeros(ph_n)
+            t, w = times[:ph_n], wave[:ph_n]
+            seg = audio[pos : pos + ph_n]
             for h in range(4):
-                seg += amps[h] * np.sin(2.0 * np.pi * f0 * jitter * (h + 1) * t + phases[h])
+                np.multiply(t, omega * jitter * (h + 1), out=w)
+                w += phases[h]
+                np.sin(w, out=w)
+                w *= amps[h]
+                seg += w
             r = min(ramp_n, ph_n // 3)
             if r > 0:
-                win = 0.5 - 0.5 * np.cos(np.pi * np.arange(r) / r)
+                win = _ramp(r)
                 seg[:r] *= win
                 seg[-r:] *= win[::-1]
-            audio[pos : pos + ph_n] = seg
             phoneme[pos : pos + ph_n] = ph
             pos += ph_n
 
@@ -148,15 +163,17 @@ def gen_utterance(seed, duration_s: float, cfg, duty: float | None = None,
     # ceil(duration_s * fps) computed exactly on sample counts
     spf = sr // cfg.viseme_fps
     n_frames = -(-n // spf)
-    basis = viseme_basis(cfg.visual_dim)
+    # Each frame's envelope is the RMS of its samples, taken row by row so
+    # that every mean sums exactly the samples the frame covers.
+    full = n // spf
+    env = np.sqrt(np.mean(audio[: full * spf].reshape(full, spf) ** 2, axis=1))
+    if full < n_frames:
+        env = np.append(env, np.sqrt(np.mean(audio[full * spf :] ** 2)))
+    center = np.minimum(n - 1, np.arange(n_frames) * spf + spf // 2)
+    voiced = activity[center]
     frames = np.zeros((n_frames, cfg.visual_dim))
-    for k in range(n_frames):
-        a = k * spf
-        b = min(n, a + spf)
-        center = min(n - 1, a + spf // 2)
-        if a < n and activity[center]:
-            env = np.sqrt(np.mean(audio[a:b] ** 2))
-            frames[k] = env * basis[phoneme[center]]
+    frames[voiced] = (env[voiced, None]
+                      * viseme_basis(cfg.visual_dim)[phoneme[center[voiced]]])
 
     return SyntheticUtterance(
         clip=AudioClip(audio, sr),
@@ -169,11 +186,7 @@ def gen_utterance(seed, duration_s: float, cfg, duty: float | None = None,
 
 class UtteranceBank:
     """Lazy, cached pool of utterances; utterance i is a pure function of
-    (bank seed, i). Speakers cycle so distinct-speaker picks are easy.
-
-    `length` and `activity` come from a sketch (the activity mask without
-    the waveform), so a planner can rank every utterance while `get`
-    renders only those it picks."""
+    (bank seed, i). Speakers cycle so distinct-speaker picks are easy."""
 
     def __init__(self, cfg, seed: int, count: int, fully_active: bool = False):
         if count < 2:
@@ -183,7 +196,6 @@ class UtteranceBank:
         self.count = int(count)
         self.fully_active = fully_active
         self._cache: dict[int, SyntheticUtterance] = {}
-        self._masks: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return self.count
@@ -191,38 +203,24 @@ class UtteranceBank:
     def speaker_of(self, i: int) -> int:
         return i % self.cfg.n_speakers
 
-    def _args(self, i: int) -> tuple:
-        """gen_utterance's (seed, duration_s, cfg, duty, quiet, speaker)."""
+    def get(self, i: int) -> SyntheticUtterance:
         if not 0 <= i < self.count:
             raise ValueError(f"utterance index {i} out of range [0, {self.count})")
-        rng = np.random.default_rng([self.seed, 1000 + i])
-        duration = float(rng.uniform(*self.cfg.utterance_s))
-        # Snap to the viseme-frame grid so crops stay frame-aligned.
-        frame_s = 1.0 / self.cfg.viseme_fps
-        duration = max(self.cfg.min_utterance_s,
-                       round(duration / frame_s) * frame_s)
-        duty = 1.0 if self.fully_active else float(rng.uniform(0.35, 0.95))
-        return ([self.seed, 1000 + i, 1], duration, self.cfg, duty, False,
-                self.speaker_of(i))
-
-    def get(self, i: int) -> SyntheticUtterance:
         if i not in self._cache:
-            self._cache[i] = gen_utterance(*self._args(i))
+            rng = np.random.default_rng([self.seed, 1000 + i])
+            duration = float(rng.uniform(*self.cfg.utterance_s))
+            # Snap to the viseme-frame grid so crops stay frame-aligned.
+            frame_s = 1.0 / self.cfg.viseme_fps
+            duration = max(self.cfg.min_utterance_s,
+                           round(duration / frame_s) * frame_s)
+            duty = 1.0 if self.fully_active else float(rng.uniform(0.35, 0.95))
+            self._cache[i] = gen_utterance(
+                [self.seed, 1000 + i, 1], duration, self.cfg,
+                duty=duty, speaker=self.speaker_of(i))
         return self._cache[i]
 
-    def activity(self, i: int) -> np.ndarray:
-        """Utterance i's activity mask, without rendering it."""
-        if i in self._cache:
-            return self._cache[i].activity
-        if i not in self._masks:
-            self._masks[i] = _sketch(*self._args(i))[3]
-        return self._masks[i]
-
-    def length(self, i: int) -> int:
-        return len(self.activity(i))
-
     def active_fraction(self, i: int) -> float:
-        return float(np.mean(self.activity(i)))
+        return self.get(i).active_fraction
 
 
 def colored_noise(rng, n: int, tilt: float) -> np.ndarray:

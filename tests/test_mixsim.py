@@ -1,11 +1,10 @@
 import json
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from usev import mixsim, synth
+from usev import synth
 from usev.dsp import energy, measure_snr_db
 from usev.mixsim import (MixtureSpec, SimConfig, apply_occlusion, corpus_stats,
                          iter_corpus, iter_overlapped_corpus, load_record,
@@ -25,6 +24,68 @@ FAST = SimConfig(clip_s=(1.0, 1.6), utterance_s=(3.0, 4.0), n_utterances=12,
 @pytest.fixture(scope="module")
 def bank():
     return UtteranceBank(CFG, seed=11, count=8)
+
+
+def reference_utterance(seed, duration_s, cfg, duty=None, quiet=False,
+                        speaker=None):
+    """gen_utterance written plainly: one harmonic at a time per phoneme and
+    one viseme frame at a time, with the same random draws in order."""
+    rng = np.random.default_rng(seed)
+    sr = cfg.sample_rate
+    n = int(round(duration_s * sr))
+    if speaker is None:
+        speaker = int(rng.integers(cfg.n_speakers))
+    f0 = synth.speaker_f0(speaker, cfg.n_speakers) * rng.uniform(0.97, 1.03)
+    if quiet:
+        activity = np.zeros(n, dtype=bool)
+    elif duty is not None and duty >= 1.0:
+        activity = np.ones(n, dtype=bool)
+    else:
+        if duty is None:
+            duty = rng.uniform(0.35, 0.95)
+        activity = synth._activity_pattern(rng, n, sr, duty, cfg.speech_span_s)
+    audio = np.zeros(n)
+    phoneme = np.full(n, -1, dtype=np.int32)
+    ramp_n = int(0.02 * sr)
+    edges = np.flatnonzero(np.diff(activity.astype(np.int8)))
+    bounds = np.concatenate(([0], edges + 1, [n]))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if not activity[a]:
+            continue
+        pos = a
+        while pos < b:
+            ph_n = min(b - pos, max(1, int(round(rng.uniform(0.08, 0.25) * sr))))
+            ph = int(rng.integers(20))
+            jitter = rng.uniform(0.97, 1.03)
+            amps = rng.uniform(0.2, 1.0, size=4) * (0.6 ** np.arange(4))
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=4)
+            t = np.arange(ph_n) / sr
+            seg = np.zeros(ph_n)
+            for h in range(4):
+                seg += amps[h] * np.sin(2.0 * np.pi * f0 * jitter * (h + 1) * t
+                                        + phases[h])
+            r = min(ramp_n, ph_n // 3)
+            if r > 0:
+                win = 0.5 - 0.5 * np.cos(np.pi * np.arange(r) / r)
+                seg[:r] *= win
+                seg[-r:] *= win[::-1]
+            audio[pos : pos + ph_n] = seg
+            phoneme[pos : pos + ph_n] = ph
+            pos += ph_n
+    if activity.any():
+        rms = np.sqrt(np.mean(audio[activity] ** 2))
+        if rms > 0:
+            audio *= cfg.utterance_rms / rms
+    audio[~activity] = 0.0
+    spf = sr // cfg.viseme_fps
+    basis = synth.viseme_basis(cfg.visual_dim)
+    frames = np.zeros((-(-n // spf), cfg.visual_dim))
+    for k in range(len(frames)):
+        a, b = k * spf, min(n, k * spf + spf)
+        center = min(n - 1, a + spf // 2)
+        if activity[center]:
+            frames[k] = np.sqrt(np.mean(audio[a:b] ** 2)) * basis[phoneme[center]]
+    return audio, activity, frames, f"spk{speaker:03d}"
 
 
 class TestGenUtterance:
@@ -67,6 +128,29 @@ class TestGenUtterance:
         u = gen_utterance(3, 4.0, CFG, duty=1.0)
         assert u.activity.all()
 
+    @pytest.mark.parametrize("cfg", [
+        CFG,
+        SimConfig(sample_rate=16000, clip_s=(4.0, 4.0)),
+        SimConfig(sample_rate=4000, clip_s=(0.5, 1.0), utterance_s=(3.0, 3.3),
+                  n_speakers=3),
+    ], ids=["8k", "16k", "4k"])
+    def test_matches_the_plain_reference_bit_for_bit(self, cfg):
+        rng = np.random.default_rng(7)
+        variants = [{}, {"duty": 1.0}, {"quiet": True},
+                    {"duty": 0.1, "speaker": 2}, {"duty": 0.6}]
+        for s in range(24):
+            kwargs = variants[s % len(variants)]
+            # Off the frame grid too, so the last viseme frame is partial.
+            duration = float(rng.uniform(*cfg.utterance_s)) + 0.0123 * (s % 2)
+            u = gen_utterance([s, 5], duration, cfg, **kwargs)
+            audio, activity, frames, speaker_id = reference_utterance(
+                [s, 5], duration, cfg, **kwargs)
+            assert u.clip.samples.tobytes() == audio.tobytes()
+            assert np.array_equal(u.activity, activity)
+            assert u.viseme_frames.shape == frames.shape
+            assert u.viseme_frames.tobytes() == frames.tobytes()
+            assert u.speaker_id == speaker_id
+
 
 class TestUtteranceBank:
     def test_lazy_and_deterministic(self, bank):
@@ -83,125 +167,35 @@ class TestUtteranceBank:
             bank.get(99)
 
 
-class TestSketches:
-    @pytest.mark.parametrize("fully_active", [False, True])
-    def test_sketch_agrees_with_render(self, fully_active):
-        bank = UtteranceBank(FAST, seed=12, count=6, fully_active=fully_active)
-        for i in range(len(bank)):
-            sketch = (bank.length(i), bank.activity(i).copy(),
-                      bank.active_fraction(i))
-            utt = bank.get(i)
-            rendered = (bank.length(i), bank.activity(i),
-                        bank.active_fraction(i))
-            for length, act, frac in (sketch, rendered):
-                assert length == len(utt.clip)
-                assert np.array_equal(act, utt.activity)
-                assert frac == utt.active_fraction
-            assert utt.activity.all() == fully_active
-
-    def test_sketch_renders_nothing(self, monkeypatch):
-        def no_render(*args, **kwargs):
-            raise AssertionError("a sketch rendered an utterance")
-
-        monkeypatch.setattr(synth, "gen_utterance", no_render)
-        bank = UtteranceBank(CFG, seed=3, count=CFG.n_utterances)
-        for i in range(len(bank)):
-            assert bank.length(i) == len(bank.activity(i))
-            assert 0.0 < bank.active_fraction(i) < 1.0
-        for query in (bank.length, bank.activity, bank.active_fraction):
-            with pytest.raises(ValueError, match="out of range"):
-                query(len(bank))
-
-
-class EagerBank(UtteranceBank):
-    """Every utterance rendered before planning starts."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        for i in range(len(self)):
-            self.get(i)
-
-
-def assert_same_record(a, b):
-    assert a.clip_id == b.clip_id
-    assert a.spec == b.spec
-    for x, y in ((a.mixture.samples, b.mixture.samples),
-                 (a.target_truth.samples, b.target_truth.samples),
-                 (a.viseme_stream, b.viseme_stream)):
-        assert x.shape == y.shape and x.tobytes() == y.tobytes()
-    assert a.track.to_triples() == b.track.to_triples()
-    assert a.occlusion_spans == b.occlusion_spans
-    assert a.effective_visual_ratio == b.effective_visual_ratio
-    assert a.components.keys() == b.components.keys()
-    for k in a.components:
-        assert a.components[k].tobytes() == b.components[k].tobytes()
-
-
-class TestPlanningOnSketches:
-    @pytest.mark.parametrize("cfg,count,seed,occlusion", [
-        (CFG, 6, 0, None),
-        (SimConfig(sample_rate=16000, clip_s=(4.0, 4.0), noisy=True), 3, 1001,
-         (0.2, 0.8)),
-        (FAST, 30, 5, None),
-        (replace(FAST, ta_prob=0.5), 12, 6, None),
-    ], ids=["default", "16k_4s", "fast", "fast_target_absent"])
-    def test_matches_an_eager_bank(self, monkeypatch, cfg, count, seed,
-                                   occlusion):
-        lazy = list(iter_corpus(cfg, count, seed, occlusion=occlusion))
-        monkeypatch.setattr(mixsim, "UtteranceBank", EagerBank)
-        eager = list(iter_corpus(cfg, count, seed, occlusion=occlusion))
-        assert len(lazy) == len(eager) == count
-        for a, b in zip(lazy, eager):
-            assert_same_record(a, b)
-        if cfg.ta_prob == 0.5:
-            assert any(r.spec.target_absent for r in lazy)
-
-    def test_overlapped_corpus_matches_an_eager_bank(self, monkeypatch):
-        cfg = SimConfig(utterance_s=(4.0, 6.0), clip_s=(3.0, 4.0),
-                        n_utterances=8)
-        lazy = list(iter_overlapped_corpus(cfg, 4, seed=4))
-        monkeypatch.setattr(mixsim, "UtteranceBank", EagerBank)
-        eager = list(iter_overlapped_corpus(cfg, 4, seed=4))
-        assert len(lazy) == len(eager) == 4
-        for a, b in zip(lazy, eager):
-            assert_same_record(a, b)
-
-    def test_one_clip_corpus_renders_only_what_it_uses(self, tmp_path,
-                                                       monkeypatch):
-        rendered = []
-        real = synth.gen_utterance
-
-        def counting(seed, *args, **kwargs):
-            rendered.append(seed[1] - 1000)  # the bank seeds [seed, 1000 + i, 1]
-            return real(seed, *args, **kwargs)
-
-        monkeypatch.setattr(synth, "gen_utterance", counting)
-        for corpus_seed in range(4):
-            rendered.clear()
-            write_corpus(CFG, 1, corpus_seed, tmp_path / str(corpus_seed))
-            used = set(rendered)
-            assert len(rendered) == len(used)
-            assert len(used) < 10
-            spec = next(iter_corpus(CFG, 1, corpus_seed)).spec
-            named = set(spec.interference_sources)
-            if not spec.target_absent:
-                named.add(spec.target_source)
-            assert named <= used
-
-
 class TestWindowOverlap:
+    @staticmethod
+    def check(pattern, seq, win):
+        ss, act = _window_overlap(pattern, seq, win)
+        assert len(ss) == len(act) == len(seq) - win + 1
+        assert ss.dtype == np.float64
+        for c in range(len(seq) - win + 1):
+            assert ss[c] == np.sum(pattern & seq[c : c + len(pattern)])
+            assert act[c] == np.sum(seq[c : c + win])
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(30, 300))
             win = int(rng.integers(5, n + 1))
-            pattern = rng.random(win) < 0.5
-            seq = rng.random(n) < 0.5
-            ss, act = _window_overlap(pattern, seq, win)
-            assert len(ss) == n - win + 1
-            for c in range(n - win + 1):
-                assert ss[c] == np.sum(pattern & seq[c : c + win])
-                assert act[c] == np.sum(seq[c : c + win])
+            self.check(rng.random(win) < 0.5, rng.random(n) < 0.5, win)
+
+    def test_short_pattern_and_edge_runs(self):
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            n = int(rng.integers(1, 120))
+            win = int(rng.integers(1, n + 1))
+            m = int(rng.integers(1, win + 1))
+            p = rng.uniform(0.05, 0.95)
+            self.check(rng.random(m) < p, rng.random(n) < p, win)
+        for pattern, seq in [(np.ones(4, bool), np.ones(9, bool)),
+                             (np.zeros(4, bool), np.ones(9, bool)),
+                             (np.ones(4, bool), np.zeros(9, bool))]:
+            self.check(pattern, seq, 6)
 
 
 class TestSimulateGeneral:

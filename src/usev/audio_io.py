@@ -1,8 +1,9 @@
-"""WAV (16-bit PCM / 32-bit float) file I/O, plus the bounded reads the
-binary viseme and checkpoint readers share.
+"""WAV file I/O, plus the bounded reads the binary viseme and checkpoint
+readers share.
 
-Float32 WAV is the default for simulator output: the float64 -> float32 cast
-is deterministic, so re-running a simulation reproduces files byte for byte.
+WAVs are written as 32-bit float: the float64 -> float32 cast is
+deterministic, so re-running a simulation reproduces files byte for byte.
+Reading also accepts 64-bit float and 16-bit PCM WAVs from elsewhere.
 """
 
 from __future__ import annotations
@@ -15,14 +16,8 @@ from scipy.io import wavfile
 from .dsp import AudioClip
 
 
-def write_wav(path, clip: AudioClip, encoding: str = "float32") -> None:
-    if encoding == "float32":
-        wavfile.write(path, clip.sample_rate, clip.samples.astype("<f4"))
-    elif encoding == "pcm16":
-        scaled = np.clip(np.rint(clip.samples * 32767.0), -32768, 32767)
-        wavfile.write(path, clip.sample_rate, scaled.astype("<i2"))
-    else:
-        raise ValueError(f"unknown WAV encoding {encoding!r}")
+def write_wav(path, clip: AudioClip) -> None:
+    wavfile.write(path, clip.sample_rate, clip.samples.astype("<f4"))
 
 
 def read_wav(path) -> AudioClip:

@@ -3,7 +3,8 @@
 Layout (little-endian): magic, format version, metadata JSON (carries the
 model config so stage-3 training can shape-check against a stage-2
 checkpoint before loading), then per tensor: name, dtype code, shape,
-payload. float32 and float64 payloads are supported.
+payload. Every payload is float64, dtype code 1; the reader rejects any
+other code, including the float32 code 0 of older writers.
 """
 
 from __future__ import annotations
@@ -17,14 +18,10 @@ from .audio_io import expect_end, read_exact
 
 _MAGIC = b"USEVCKPT"
 _VERSION = 1
-_DTYPES = {0: "<f4", 1: "<f8"}
-_DTYPE_CODES = {"float32": 0, "float64": 1}
+_F64_CODE = 1
 
 
-def save_checkpoint(path, tensors: dict, meta: dict | None = None,
-                    dtype: str = "float64") -> None:
-    code = _DTYPE_CODES[dtype]
-    np_dtype = _DTYPES[code]
+def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
     meta_blob = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC)
@@ -36,9 +33,9 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None,
             blob = name.encode("utf-8")
             f.write(struct.pack("<H", len(blob)))
             f.write(blob)
-            f.write(struct.pack("<BB", code, arr.ndim))
+            f.write(struct.pack("<BB", _F64_CODE, arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.astype(np_dtype).tobytes())
+            f.write(arr.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
@@ -62,13 +59,13 @@ def load_checkpoint(path) -> tuple[dict, dict]:
             name = _parse(path, f"tensor {i} name", bytes.decode,
                           read_exact(f, name_len, path, f"tensor {i} name"))
             code, ndim = struct.unpack("<BB", read_exact(f, 2, path, f"{name} dtype"))
-            if code not in _DTYPES:
+            if code != _F64_CODE:
                 raise ValueError(f"{path}: unknown dtype code {code} for {name}")
             shape = struct.unpack(f"<{ndim}I",
                                   read_exact(f, 4 * ndim, path, f"{name} shape"))
-            n_bytes = int(np.prod(shape, dtype=np.int64)) * int(_DTYPES[code][-1])
+            n_bytes = int(np.prod(shape, dtype=np.int64)) * 8
             payload = read_exact(f, n_bytes, path, f"{name} payload")
-            tensors[name] = np.frombuffer(payload, dtype=_DTYPES[code]) \
+            tensors[name] = np.frombuffer(payload, dtype="<f8") \
                 .astype(np.float64).reshape(shape)
         expect_end(f, path)
     return tensors, meta

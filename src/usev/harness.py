@@ -87,6 +87,15 @@ def _load_records(data):
     return list(data)
 
 
+def _check_rates(model: UsevNet, records) -> None:
+    """Every clip must be at the model's sample rate."""
+    for rec in records:
+        if rec.mixture.sample_rate != model.cfg.sample_rate:
+            raise ValueError(f"clip {rec.clip_id}: sample rate "
+                             f"{rec.mixture.sample_rate} Hz, but the model "
+                             f"runs at {model.cfg.sample_rate} Hz")
+
+
 def _clip_loss_graph(cfg: TrainConfig, est, ref, track):
     if cfg.loss == "differentiated":
         return tensor_loss_differentiated(est, ref, track, cfg.weights)
@@ -152,6 +161,7 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
         if model_cfg is None:
             raise ValueError("need a model config or an init checkpoint")
         model = UsevNet(model_cfg, seed=cfg.seed)
+    _check_rates(model, train_records + val_records)
 
     sr = model.cfg.sample_rate
     spf = sr // model.cfg.viseme_fps
@@ -272,6 +282,7 @@ def evaluate(model_or_checkpoint, test_data, out_dir,
     else:
         model = model_or_checkpoint
     records = _load_records(test_data)
+    _check_rates(model, records)
     reports = {"model": eval_report(extraction_pairs(model, records))}
     write_report(reports["model"], out / "model")
     if mixture_baseline:

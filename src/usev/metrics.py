@@ -21,6 +21,8 @@ EPS = 1e-8
 
 # Effective-visual-cue histogram: twenty 5% intervals.
 VISUAL_BIN_EDGES = np.linspace(0.0, 1.0, 21)
+# Per-kind output power histogram: 5 dB/s bins from -100 to 60 dB/s.
+POWER_BIN_EDGES = np.arange(-100.0, 61.0, 5.0)
 
 
 def si_sdr(est, ref) -> float:
@@ -108,14 +110,12 @@ def _mean(vals: list[float]) -> float | None:
     return float(np.mean(vals)) if vals else None
 
 
-def eval_report(pairs, power_bin_edges=None) -> ReportTables:
+def eval_report(pairs) -> ReportTables:
     """Score (record, extracted_clip) pairs and aggregate every report view.
 
     `record` needs: clip_id, mixture (AudioClip), track, effective_visual_ratio.
     Extracted output is compared against record.target_truth at full length.
     """
-    if power_bin_edges is None:
-        power_bin_edges = np.arange(-100.0, 61.0, 5.0)
     records: list[EvalRecord] = []
     kind_powers: dict[str, list[float]] = {k: [] for k in KINDS}
 
@@ -140,11 +140,10 @@ def eval_report(pairs, power_bin_edges=None) -> ReportTables:
             mask = track.kind_mask(kind)
             if not mask.any():
                 continue
-            if kind in TARGET_SPEAKS:
-                kind_metrics[kind] = si_sdr(est_s[mask], ref_s[mask])
-            else:
-                kind_metrics[kind] = power_db_per_s(est_s[mask], sr)
-            kind_powers[kind].append(power_db_per_s(est_s[mask], sr))
+            power = power_db_per_s(est_s[mask], sr)
+            kind_powers[kind].append(power)
+            kind_metrics[kind] = (si_sdr(est_s[mask], ref_s[mask])
+                                  if kind in TARGET_SPEAKS else power)
         records.append(EvalRecord(
             clip_id=rec.clip_id, clip_class=clip_class, bucket=bucket,
             clip_metric=clip_metric, kind_metrics=kind_metrics,
@@ -167,7 +166,7 @@ def eval_report(pairs, power_bin_edges=None) -> ReportTables:
 
     hist = {}
     for k in KINDS:
-        counts, edges = np.histogram(kind_powers[k], bins=power_bin_edges)
+        counts, edges = np.histogram(kind_powers[k], bins=POWER_BIN_EDGES)
         hist[k] = (edges, counts)
 
     visual_bins = []

@@ -12,7 +12,9 @@ order and parallelism never change outputs.
 
 from __future__ import annotations
 
+import difflib
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,18 +23,9 @@ import numpy as np
 
 from . import audio_io
 from .dsp import AudioClip, snr_gain
-from .scenario import (BUCKETS, KINDS, ScenarioTrack, clip_bucket,
-                       label_scenarios, overlap_bucket, overlap_ratio)
+from .scenario import (BUCKET_BOUNDS, BUCKETS, KINDS, ScenarioTrack,
+                       clip_bucket, label_scenarios)
 from .synth import UtteranceBank, colored_noise
-
-_BUCKET_RANGE = {
-    "0%": (0.0, 0.0),
-    "(0,20]%": (0.0, 0.2),
-    "(20,40]%": (0.2, 0.4),
-    "(40,60]%": (0.4, 0.6),
-    "(60,80]%": (0.6, 0.8),
-    "(80,100]%": (0.8, 1.0),
-}
 
 # Default target-present bucket mix; conversational corpora skew toward
 # higher overlap, so the upper buckets carry more weight.
@@ -73,6 +66,16 @@ class SimConfig:
             raise ValueError("utterance_s below min_utterance_s")
         if not 0.0 <= self.ta_prob <= 1.0:
             raise ValueError("ta_prob must lie in [0, 1]")
+        for name, w in self.bucket_weights.items():
+            if name not in BUCKET_BOUNDS:
+                near = difflib.get_close_matches(name, BUCKET_BOUNDS, n=1)
+                hint = f"; did you mean {near[0]!r}?" if near else ""
+                raise ValueError(f"unknown bucket_weights key {name!r}{hint}")
+            if not isinstance(w, (int, float)) or not 0.0 <= w < math.inf:
+                raise ValueError(f"bucket_weights[{name!r}] must be a finite "
+                                 f"number >= 0, got {w!r}")
+        if not sum(self.bucket_weights.values()) > 0.0:
+            raise ValueError("bucket_weights must not all be zero")
 
     @property
     def samples_per_frame(self) -> int:
@@ -375,10 +378,10 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
         return MixtureSpec(None, (0, 0), sources, crops, offsets, snrs,
                            draw_noise(), True, clip_len, draw_seed())
 
-    names = list(_BUCKET_RANGE)
+    names = BUCKETS[1:]
     weights = np.array([cfg.bucket_weights.get(n, 0.0) for n in names])
     desired = names[int(rng.choice(len(names), p=weights / weights.sum()))]
-    lo, hi = _BUCKET_RANGE[desired]
+    lo, hi = BUCKET_BOUNDS[desired]
     prefer = {"(80,100]%": "dense", "0%": "sparse", "(0,20]%": "sparse"}.get(desired)
     n_interf = 1 if desired in ("0%", "(80,100]%") else int(rng.integers(1, 3))
 
@@ -578,7 +581,8 @@ def read_manifest(path) -> list[dict]:
 def read_records(path) -> list[MixtureRecord]:
     """Load every clip a manifest lists, relative to the manifest's folder.
     Every row's path fields are checked, and then every named file, before
-    any file is opened."""
+    any file is opened. A clip that fails to load names the manifest and
+    the line."""
     rows, base = _numbered_rows(path), Path(path).parent
     for lineno, row in rows:
         for k in _ROW_PATHS:
@@ -590,15 +594,36 @@ def read_records(path) -> list[MixtureRecord]:
             if not (base / row[k]).is_file():
                 raise ValueError(f"{path}: line {lineno}: field {k!r} names "
                                  f"no file: {base / row[k]}")
-    return [load_record(row, base) for _, row in rows]
+    records = []
+    for lineno, row in rows:
+        try:
+            records.append(load_record(row, base))
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
+    return records
 
 
 def load_record(row: dict, base_dir) -> MixtureRecord:
-    """Rebuild a record from its manifest row and data files."""
+    """Rebuild a record from its manifest row and data files. Each WAV must
+    hold clip_len samples at the row's sample_rate, and the viseme file the
+    frame count simulate_general writes for that length."""
     base = Path(base_dir)
     mixture = audio_io.read_wav(base / row["mixture_path"])
     target = audio_io.read_wav(base / row["target_path"])
-    visemes, _ = read_visemes(base / row["visemes_path"])
+    visemes, fps = read_visemes(base / row["visemes_path"])
+    rate, length = row["sample_rate"], row["clip_len"]
+    for k, clip in (("mixture_path", mixture), ("target_path", target)):
+        if (clip.sample_rate, len(clip)) != (rate, length):
+            raise ValueError(
+                f"field {k!r}: {base / row[k]} holds {len(clip)} samples at "
+                f"{clip.sample_rate} Hz; the row says clip_len {length} at "
+                f"sample_rate {rate}")
+    frames = length * fps // rate
+    if len(visemes) != frames:
+        raise ValueError(
+            f"field 'visemes_path': {base / row['visemes_path']} holds "
+            f"{len(visemes)} frames; clip_len {length} at {rate} Hz and "
+            f"{fps} fps needs {frames}")
     track = ScenarioTrack.from_triples(row["track"], row["clip_len"])
     return MixtureRecord(
         clip_id=row["clip_id"], mixture=mixture, target_truth=target,

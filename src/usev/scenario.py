@@ -17,10 +17,17 @@ KINDS = ("QQ", "SQ", "SS", "QS")
 # (SI-SDR); the quiet-target kinds QQ/QS are scored on output power.
 TARGET_SPEAKS = ("SQ", "SS")
 
-# Overlap-ratio buckets, half-open on the left; TA clips have no ratio.
-BUCKETS = ("TA", "0%", "(0,20]%", "(20,40]%", "(40,60]%", "(60,80]%", "(80,100]%")
-_BUCKET_UPPER = ((0.2, "(0,20]%"), (0.4, "(20,40]%"), (0.6, "(40,60]%"),
-                 (0.8, "(60,80]%"), (1.0, "(80,100]%"))
+# Target-present overlap-ratio buckets and their (lo, hi] bounds; "0%" holds
+# exactly 0. TA clips have no ratio and come first in BUCKETS.
+BUCKET_BOUNDS = {
+    "0%": (0.0, 0.0),
+    "(0,20]%": (0.0, 0.2),
+    "(20,40]%": (0.2, 0.4),
+    "(40,60]%": (0.4, 0.6),
+    "(60,80]%": (0.6, 0.8),
+    "(80,100]%": (0.8, 1.0),
+}
+BUCKETS = ("TA", *BUCKET_BOUNDS)
 
 # kind = target_active + 2 * interference_active
 _CODE_TO_KIND = ("QQ", "SQ", "QS", "SS")
@@ -139,12 +146,7 @@ def overlap_bucket(ratio: float | None) -> str:
         return "TA"
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"overlap ratio must lie in [0, 1], got {ratio}")
-    if ratio == 0.0:
-        return "0%"
-    for upper, name in _BUCKET_UPPER:
-        if ratio <= upper:
-            return name
-    raise AssertionError("unreachable")
+    return next(name for name, (_, hi) in BUCKET_BOUNDS.items() if ratio <= hi)
 
 
 def clip_bucket(track: ScenarioTrack) -> str:

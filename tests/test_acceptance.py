@@ -14,8 +14,7 @@ import pytest
 from usev import autodiff as ad
 from usev.autodiff import chunk_geometry
 from usev.dsp import AudioClip, FrameMatrix, frame_signal, measure_snr_db, overlap_add
-from usev.gradcheck import (MODEL_TOL, OP_CHECKS, OP_TOL, model_fd_check,
-                            run_gradcheck)
+from usev.gradcheck import MODEL_TOL, OP_CHECKS, OP_TOL, run_gradcheck
 from usev.harness import TrainConfig
 from usev.losses import (EPS as LOSS_EPS, LossWeights, loss_differentiated,
                          loss_energy, loss_sdr, loss_uniform,
@@ -208,16 +207,15 @@ def test_criterion_3_scenario_algebra():
 
 def test_criterion_4_gradients():
     t0 = time.time()
-    worst_op = 0.0
-    for name, check in OP_CHECKS.items():
-        err = max(check(seed) for seed in range(20))
-        assert err <= OP_TOL, f"{name}: {err}"
-        worst_op = max(worst_op, err)
-    model_err = model_fd_check()
+    *ops, model = run_gradcheck(seeds=20)  # the route `usev gradcheck` runs
     elapsed = time.time() - t0
-    report(4, worst_op <= OP_TOL and model_err <= MODEL_TOL and elapsed < 300,
-           f"ops max {worst_op:.2e} (tol 1e-5), model {model_err:.2e} "
-           f"(tol 1e-4), {elapsed:.0f}s")
+    assert [r.name for r in ops] == list(OP_CHECKS)
+    assert all(r.tol == OP_TOL for r in ops) and model.tol == MODEL_TOL
+    failed = [r.name for r in (*ops, model) if not r.passed]
+    worst_op = max(r.max_err for r in ops)
+    report(4, not failed and elapsed < 300,
+           f"ops max {worst_op:.2e} (tol 1e-5), model {model.max_err:.2e} "
+           f"(tol 1e-4), {elapsed:.0f}s, failed {failed}")
 
 
 # -- criterion 5: structural identities --------------------------------------------------

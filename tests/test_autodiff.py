@@ -326,9 +326,9 @@ class TestGradientChecks:
         err = max(OP_CHECKS[name](seed) for seed in range(3))
         assert err <= OP_TOL, f"{name}: max rel err {err}"
 
-    def test_negative_control_detects_corruption(self):
-        err = OP_CHECKS["relu"](0, tamper=True)
-        assert err > OP_TOL
+    def test_negative_control_detects_corruption(self, plant_backward):
+        plant_backward("relu", 1.5)
+        assert OP_CHECKS["relu"](0) > OP_TOL
 
     def test_fd_check_harness_on_known_graph(self):
         rng = np.random.default_rng(6)
@@ -401,12 +401,6 @@ class TestCheckpoint:
         assert meta2 == meta
         for k in tensors:
             np.testing.assert_array_equal(back[k], tensors[k])
-
-    def test_round_trip_f32_quantizes(self, tmp_path):
-        x = {"w": np.array([1.0, 1e-9, 3.3333333333])}
-        save_checkpoint(tmp_path / "m.ckpt", x, dtype="float32")
-        back, _ = load_checkpoint(tmp_path / "m.ckpt")
-        np.testing.assert_allclose(back["w"], x["w"], rtol=1e-6, atol=1e-12)
 
     def test_bad_magic(self, tmp_path):
         (tmp_path / "junk.ckpt").write_bytes(b"NOTACKPTxxxx")

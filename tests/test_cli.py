@@ -37,6 +37,13 @@ def test_simulate_with_occlusion_flag(tmp_path):
     assert all(r["noise_snr_db"] is not None for r in rows)
 
 
+TINY_RUN = ("sample_rate = 8000\nencoder_dim = 8\nkernel_len = 8\n"
+            "bottleneck = 4\nrepeats = 1\nchunk = 8\nvtcn_repeats = 1\n"
+            "visual_dim = 8\n"
+            "lr0 = 0.001\nmax_epochs = 1\nbatch_size = 2\n"
+            "clip_truncate_s = 0.5\nloss = uniform\n")
+
+
 def test_train_evaluate_pipeline(tmp_path, capsys):
     simcfg = tmp_path / "sim.cfg"
     simcfg.write_text("clip_s = 0.6,0.8\nutterance_s = 3.0,4.0\n"
@@ -45,12 +52,7 @@ def test_train_evaluate_pipeline(tmp_path, capsys):
     assert run(["simulate", "--config", simcfg, "--out", data, "--count", 3,
                 "--seed", 7]) == 0
     runcfg = tmp_path / "run.cfg"
-    runcfg.write_text(
-        "sample_rate = 8000\nencoder_dim = 8\nkernel_len = 8\n"
-        "bottleneck = 4\nrepeats = 1\nchunk = 8\nvtcn_repeats = 1\n"
-        "visual_dim = 8\n"
-        "lr0 = 0.001\nmax_epochs = 1\nbatch_size = 2\n"
-        "clip_truncate_s = 0.5\nloss = uniform\n")
+    runcfg.write_text(TINY_RUN)
     manifest = data / "manifest.jsonl"
     assert run(["train", "--config", runcfg, "--train-manifest", manifest,
                 "--val-manifest", manifest, "--out", tmp_path / "run"]) == 0
@@ -92,6 +94,14 @@ SIM_OK = "clip_s = 1.0,1.4\nutterance_s = 3.0,4.0\n"
      "'clip_s': expected 2 comma-separated numbers"),
     ("simulate", SIM_OK + "bucket_weights = [1, 2]\n",
      "'bucket_weights': expected a JSON object"),
+    ("simulate", SIM_OK + 'bucket_weights = {"(80,100]": 5.0, "0%": 1.0}\n',
+     "unknown bucket_weights key '(80,100]'; did you mean '(80,100]%'?"),
+    ("simulate", SIM_OK + 'bucket_weights = {"0%": -1, "(0,20]%": 2}\n',
+     "bucket_weights['0%'] must be a finite number >= 0, got -1"),
+    ("simulate", SIM_OK + 'bucket_weights = {"(0,20]%": Infinity}\n',
+     "bucket_weights['(0,20]%'] must be a finite number >= 0, got inf"),
+    ("simulate", SIM_OK + 'bucket_weights = {"0%": 0, "(0,20]%": 0.0}\n',
+     "bucket_weights must not all be zero"),
     ("train", "weights = 1,1,1\n",
      "'weights': expected 4 comma-separated numbers"),
     ("train", "max_epochs = many\n", "'max_epochs'"),
@@ -117,7 +127,7 @@ def test_malformed_config_gives_param_exit_code(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("damage", ["truncate", "trailing", "unknown_key",
-                                    "bad_shape"])
+                                    "bad_shape", "float32"])
 def test_malformed_checkpoint_gives_param_exit_code(tmp_path, capsys, damage):
     from usev.checkpoint import save_checkpoint
     from usev.gradcheck import micro_config
@@ -136,9 +146,16 @@ def test_malformed_checkpoint_gives_param_exit_code(tmp_path, capsys, damage):
         ckpt.write_bytes(raw[:-3])
     elif damage == "trailing":
         ckpt.write_bytes(raw + b"\x00")
+    elif damage == "float32":  # the retired float32 dtype code 0
+        at = raw.index(b"enc.w") + len(b"enc.w")
+        assert raw[at] == 1
+        ckpt.write_bytes(raw[:at] + b"\x00" + raw[at + 1:])
     assert run(["evaluate", "--checkpoint", ckpt, "--test-manifest",
                 tmp_path / "none.jsonl", "--out", tmp_path / "o"]) == 2
-    assert str(ckpt) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(ckpt) in err
+    if damage == "float32":
+        assert "unknown dtype code 0 for enc.w" in err
 
 
 @pytest.mark.parametrize("field,value", [
@@ -168,26 +185,78 @@ def test_malformed_manifest_gives_param_exit_code(tmp_path, capsys, field,
     assert str(manifest) in err and "line 2" in err and field in err
 
 
+def _small_corpus(out, sample_rate=8000):
+    from usev.mixsim import SimConfig, write_corpus
+
+    sim = SimConfig(sample_rate=sample_rate, clip_s=(0.6, 0.8),
+                    utterance_s=(3.0, 4.0), n_utterances=8, n_speakers=4)
+    return write_corpus(sim, 2, 7, out)
+
+
+def _train_or_evaluate(command, tmp_path, manifest):
+    """Arguments that train or evaluate an 8 kHz model on the manifest."""
+    from usev.gradcheck import micro_config
+    from usev.harness import save_model
+    from usev.model import UsevNet
+
+    if command == "train":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_RUN)
+        return ["train", "--config", cfg, "--train-manifest", manifest,
+                "--val-manifest", manifest, "--out", tmp_path / "run"]
+    ckpt = tmp_path / "m.ckpt"
+    save_model(ckpt, UsevNet(micro_config()))
+    return ["evaluate", "--checkpoint", ckpt, "--test-manifest", manifest,
+            "--out", tmp_path / "o"]
+
+
 def test_missing_data_file_gives_param_exit_code(tmp_path, capsys,
                                                  monkeypatch):
     from usev import audio_io
-    from usev.gradcheck import micro_config
-    from usev.harness import save_model
-    from usev.mixsim import SimConfig, write_corpus
-    from usev.model import UsevNet
 
-    ckpt = tmp_path / "m.ckpt"
-    save_model(ckpt, UsevNet(micro_config()))
-    sim = SimConfig(clip_s=(0.6, 0.8), utterance_s=(3.0, 4.0), n_utterances=8,
-                    n_speakers=4)
-    manifest = write_corpus(sim, 2, 7, tmp_path / "corpus")
+    manifest = _small_corpus(tmp_path / "corpus")
     (tmp_path / "corpus" / read_manifest(manifest)[1]["target_path"]).unlink()
 
     def no_read(*args, **kwargs):
         raise AssertionError("a data file was opened before the check")
 
     monkeypatch.setattr(audio_io, "read_wav", no_read)
-    assert run(["evaluate", "--checkpoint", ckpt, "--test-manifest", manifest,
-                "--out", tmp_path / "o"]) == 2
+    assert run(_train_or_evaluate("evaluate", tmp_path, manifest)) == 2
     err = capsys.readouterr().err
     assert str(manifest) in err and "line 2" in err and "target_path" in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("field", ["mixture_path", "target_path",
+                                   "visemes_path"])
+def test_clip_disagreeing_with_its_row_gives_param_exit_code(
+        tmp_path, capsys, command, field):
+    from usev import audio_io
+    from usev.dsp import AudioClip
+    from usev.mixsim import read_visemes, write_visemes
+
+    manifest = _small_corpus(tmp_path / "corpus")
+    path = tmp_path / "corpus" / read_manifest(manifest)[1][field]
+    if field == "visemes_path":
+        frames, fps = read_visemes(path)
+        write_visemes(path, frames[:-1], fps)
+    else:
+        clip = audio_io.read_wav(path)
+        if field == "target_path":  # 640 samples short
+            clip = AudioClip(clip.samples[:-640], clip.sample_rate)
+        else:  # another rate than the row's
+            clip = AudioClip(clip.samples, 16000)
+        audio_io.write_wav(path, clip)
+    assert run(_train_or_evaluate(command, tmp_path, manifest)) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "line 2" in err and field in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_clip_at_another_rate_than_the_model_gives_param_exit_code(
+        tmp_path, capsys, command):
+    manifest = _small_corpus(tmp_path / "corpus", sample_rate=16000)
+    assert run(_train_or_evaluate(command, tmp_path, manifest)) == 2
+    err = capsys.readouterr().err
+    assert "clip clip-000000: sample rate 16000 Hz" in err
+    assert "the model runs at 8000 Hz" in err

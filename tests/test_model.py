@@ -3,7 +3,7 @@ import pytest
 
 from usev import autodiff as ad
 from usev.autodiff import chunk_geometry
-from usev.gradcheck import micro_config, model_fd_check
+from usev.gradcheck import MODEL_TOL, micro_config, model_fd_check
 from usev.model import UsevConfig, UsevNet
 
 DESK = UsevConfig()  # 8 kHz, N=64, B=16, R=2, K=16
@@ -220,7 +220,13 @@ class TestParameters:
 
 def test_micro_gradcheck_quick():
     # single-seed smoke; the acceptance suite runs the full-tolerance check
-    assert model_fd_check() <= 1e-4
+    assert model_fd_check() <= MODEL_TOL
+
+
+def test_micro_gradcheck_sees_a_planted_blstm_fault(plant_backward):
+    # Enough gradient must reach the DPRNN for a 0.1% BLSTM error to show.
+    plant_backward("bilstm", 1.001)
+    assert model_fd_check() > MODEL_TOL
 
 
 def test_micro_config_is_tiny():

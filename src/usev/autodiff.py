@@ -4,6 +4,8 @@ A Tensor records the operator that produced it and links to its parents, so
 the graph lives implicitly in the tensors. backward() on a scalar walks the
 graph once in reverse topological order; every node counts how many times its
 backward rule ran, which the test-suite uses to prove single-visit traversal.
+An interior node's gradient is freed as soon as its rule has passed it on, so
+after backward() only leaves hold gradients, and they accumulate over calls.
 
 Only the operators the extractor network needs are provided; there is no
 GPU path and broadcasting is limited to what numpy does elementwise.
@@ -56,7 +58,12 @@ class Tensor:
     # -- autograd ----------------------------------------------------------
 
     def backward(self):
-        """Reverse-mode accumulation from this scalar into every ancestor."""
+        """Reverse-mode accumulation from this scalar into every ancestor.
+
+        Each node with a backward rule drops its gradient once the rule has
+        run, so the walk holds only the gradients still to be passed on, and
+        a second call on the same graph adds exactly the same leaf gradients
+        again. Leaves keep theirs and accumulate them."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.shape}")
         order = toposort(self)
@@ -65,6 +72,7 @@ class Tensor:
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
                 node.backward_runs += 1
+                node.grad = None
 
     # -- operator sugar ------------------------------------------------------
 

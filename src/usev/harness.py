@@ -87,13 +87,17 @@ def _load_records(data):
     return list(data)
 
 
-def _check_rates(model: UsevNet, records) -> None:
-    """Every clip must be at the model's sample rate."""
+def _check_clips(model: UsevNet, records) -> None:
+    """Every clip must be at the model's sample rate and viseme width."""
     for rec in records:
         if rec.mixture.sample_rate != model.cfg.sample_rate:
             raise ValueError(f"clip {rec.clip_id}: sample rate "
                              f"{rec.mixture.sample_rate} Hz, but the model "
                              f"runs at {model.cfg.sample_rate} Hz")
+        if rec.viseme_stream.shape[1] != model.cfg.visual_dim:
+            raise ValueError(f"clip {rec.clip_id}: viseme width "
+                             f"{rec.viseme_stream.shape[1]}, but the model "
+                             f"takes {model.cfg.visual_dim}")
 
 
 def _clip_loss_graph(cfg: TrainConfig, est, ref, track):
@@ -141,6 +145,26 @@ def _check_finite(loss, model: UsevNet, epoch: int, step: int, clip_ids) -> None
                          f"{' and '.join(bad)} on clips {clip_ids}")
 
 
+def _train_step(cfg: TrainConfig, model: UsevNet, opt, crops, epoch: int,
+                step: int, clip_ids) -> float:
+    """One Adam step on the mean loss over the cropped clips; returns the
+    loss. The step's graph dies with this frame, before the next step builds
+    its own."""
+    opt.zero_grad()
+    terms = []
+    for mix, ref, vis, track in crops:
+        est = model.forward(mix, vis)
+        terms.append(_clip_loss_graph(cfg, est, ref, track))
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    loss = total * (1.0 / len(terms))
+    loss.backward()
+    _check_finite(loss, model, epoch, step, clip_ids)
+    opt.step()
+    return loss.item()
+
+
 def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
           out_dir) -> TrainResult:
     """Run one training stage; returns the best checkpoint and the logs."""
@@ -161,7 +185,7 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
         if model_cfg is None:
             raise ValueError("need a model config or an init checkpoint")
         model = UsevNet(model_cfg, seed=cfg.seed)
-    _check_rates(model, train_records + val_records)
+    _check_clips(model, train_records + val_records)
 
     sr = model.cfg.sample_rate
     spf = sr // model.cfg.viseme_fps
@@ -187,23 +211,12 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
             order = rng.permutation(len(train_records))
             batch_losses = []
             for step, start in enumerate(range(0, len(order), cfg.batch_size)):
-                batch = order[start : start + cfg.batch_size]
-                opt.zero_grad()
-                terms = []
-                for idx in batch:
-                    rec = train_records[int(idx)]
-                    mix, ref, vis, track = _random_crop(rng, rec, n_trunc, spf)
-                    est = model.forward(mix, vis)
-                    terms.append(_clip_loss_graph(cfg, est, ref, track))
-                total = terms[0]
-                for t in terms[1:]:
-                    total = total + t
-                loss = total * (1.0 / len(terms))
-                loss.backward()
-                _check_finite(loss, model, epoch, step,
-                              [train_records[int(i)].clip_id for i in batch])
-                opt.step()
-                batch_losses.append(loss.item())
+                batch = [train_records[int(i)]
+                         for i in order[start : start + cfg.batch_size]]
+                crops = [_random_crop(rng, rec, n_trunc, spf) for rec in batch]
+                batch_losses.append(_train_step(
+                    cfg, model, opt, crops, epoch, step,
+                    [rec.clip_id for rec in batch]))
             train_loss = float(np.mean(batch_losses))
             val_loss = _validation_loss(cfg, model, val_records)
             wall = time.monotonic() - t0
@@ -282,7 +295,7 @@ def evaluate(model_or_checkpoint, test_data, out_dir,
     else:
         model = model_or_checkpoint
     records = _load_records(test_data)
-    _check_rates(model, records)
+    _check_clips(model, records)
     reports = {"model": eval_report(extraction_pairs(model, records))}
     write_report(reports["model"], out / "model")
     if mixture_baseline:

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -61,6 +62,30 @@ class TestBackwardBasics:
         for node in order:
             if node._backward_fn is not None:
                 assert node.backward_runs == 1
+
+    def test_backward_frees_interior_gradients(self):
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        a = ad.relu(ad.matmul(x, w))
+        loss = ((a + ad.log(x * x + 1.0)) * a).sum()
+        order = ad.toposort(loss)
+        loss.backward()
+        assert all(node.grad is None for node in order
+                   if node._backward_fn is not None)
+        for leaf in (x, w):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
+    def test_second_backward_doubles_leaf_gradient(self):
+        rng = np.random.default_rng(2)
+        v = rng.standard_normal(5)
+        x = Tensor(v, requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        once = x.grad.copy()
+        np.testing.assert_array_equal(once, 2 * v)
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, 2 * once)
 
     def test_deterministic_gradients(self):
         def run():
@@ -412,13 +437,49 @@ class TestCheckpoint:
         save_model(path, UsevNet(micro_config()))
         return path.read_bytes()
 
+    @staticmethod
+    def _truncations(raw):
+        """{offset: what the error must say} for every offset of the magic,
+        header, metadata and tensor count and, for each tensor, the first
+        byte of each field (name length, name, dtype, shape, payload) and one
+        byte inside it. Walks the saved layout."""
+        meta_end = 16 + struct.unpack_from("<I", raw, 12)[0]
+        cuts = {k: "not a checkpoint file" for k in range(8)}
+        for field, start, end in (("header", 8, 16),
+                                  ("metadata", 16, meta_end),
+                                  ("tensor count", meta_end, meta_end + 4)):
+            cuts.update((k, f"truncated {field}:") for k in range(start, end))
+        pos = meta_end + 4
+        for i in range(struct.unpack_from("<I", raw, meta_end)[0]):
+            (name_len,) = struct.unpack_from("<H", raw, pos)
+            name = raw[pos + 2 : pos + 2 + name_len].decode()
+            ndim = raw[pos + 3 + name_len]
+            shape = struct.unpack_from(f"<{ndim}I", raw, pos + 4 + name_len)
+            for field, size in ((f"tensor {i} name", 2),
+                                (f"tensor {i} name", name_len),
+                                (f"{name} dtype", 2), (f"{name} shape", 4 * ndim),
+                                (f"{name} payload", 8 * int(np.prod(shape)))):
+                cuts.update((k, f"truncated {field}:")
+                            for k in range(pos, pos + min(size, 2)))
+                pos += size
+        assert pos == len(raw)
+        return cuts
+
     def test_every_truncation_names_the_file(self, tmp_path):
         raw = self._micro_checkpoint(tmp_path / "m.ckpt")
         cut = tmp_path / "t.ckpt"
-        for k in range(len(raw)):
+        for k in sorted(self._truncations(raw)):
             cut.write_bytes(raw[:k])
             with pytest.raises(ValueError, match=re.escape(str(cut))):
                 load_model(cut)
+
+    def test_every_truncation_names_the_field(self, tmp_path):
+        raw = self._micro_checkpoint(tmp_path / "m.ckpt")
+        cut = tmp_path / "t.ckpt"
+        for k, says in sorted(self._truncations(raw).items()):
+            cut.write_bytes(raw[:k])
+            with pytest.raises(ValueError, match=re.escape(says)):
+                load_checkpoint(cut)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"

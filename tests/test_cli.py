@@ -185,11 +185,12 @@ def test_malformed_manifest_gives_param_exit_code(tmp_path, capsys, field,
     assert str(manifest) in err and "line 2" in err and field in err
 
 
-def _small_corpus(out, sample_rate=8000):
+def _small_corpus(out, sample_rate=8000, visual_dim=8):
     from usev.mixsim import SimConfig, write_corpus
 
     sim = SimConfig(sample_rate=sample_rate, clip_s=(0.6, 0.8),
-                    utterance_s=(3.0, 4.0), n_utterances=8, n_speakers=4)
+                    utterance_s=(3.0, 4.0), n_utterances=8, n_speakers=4,
+                    visual_dim=visual_dim)
     return write_corpus(sim, 2, 7, out)
 
 
@@ -260,3 +261,13 @@ def test_clip_at_another_rate_than_the_model_gives_param_exit_code(
     err = capsys.readouterr().err
     assert "clip clip-000000: sample rate 16000 Hz" in err
     assert "the model runs at 8000 Hz" in err
+
+
+@pytest.mark.parametrize("command,model_dim", [("train", 8), ("evaluate", 2)])
+def test_clip_of_another_viseme_width_than_the_model_gives_param_exit_code(
+        tmp_path, capsys, command, model_dim):
+    manifest = _small_corpus(tmp_path / "corpus", visual_dim=4)
+    assert run(_train_or_evaluate(command, tmp_path, manifest)) == 2
+    err = capsys.readouterr().err
+    assert "clip clip-000000: viseme width 4" in err
+    assert f"the model takes {model_dim}" in err

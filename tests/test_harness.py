@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -143,6 +144,30 @@ class TestTrainLoop:
             keep = np.isfinite(p.data)
             assert np.array_equal(p.data[keep], p0[keep])
         assert (~np.isfinite(opt.params[0].data)).sum() == 1
+
+
+    def test_no_graph_outlives_its_step(self, tiny_records, tmp_path,
+                                        monkeypatch):
+        # Each step's loss root is tracked through its data array, which only
+        # the root holds; by the next step's zero_grad it must be gone.
+        roots, alive = [], []
+        backward, zero_grad = ad.Tensor.backward, ad.Adam.zero_grad
+
+        def tracked_backward(self):
+            roots.append(weakref.ref(self.data))
+            backward(self)
+
+        def checked_zero_grad(self):
+            alive.append([r() is not None for r in roots])
+            zero_grad(self)
+
+        monkeypatch.setattr(ad.Tensor, "backward", tracked_backward)
+        monkeypatch.setattr(ad.Adam, "zero_grad", checked_zero_grad)
+        cfg = TrainConfig(lr0=0.001, max_epochs=2, batch_size=2,
+                          clip_truncate_s=0.5, loss="uniform", seed=3)
+        train(cfg, TINY_MODEL, tiny_records, tiny_records, tmp_path)
+        assert len(roots) == 4
+        assert alive == [[], [False], [False] * 2, [False] * 3]
 
 
 class TestSaveLoadModel:

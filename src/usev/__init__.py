@@ -5,11 +5,11 @@ loss, SI-SDR/power evaluation, a minimal reverse-mode autodiff engine, the
 visual-cued DPRNN extraction network, and a training/evaluation harness.
 """
 
-from .dsp import AudioClip, FrameMatrix, energy, frame_signal, overlap_add, scale_to_snr
+from .dsp import AudioClip, energy
 from .losses import LossWeights, loss_differentiated, loss_energy, loss_sdr, loss_uniform
 from .metrics import eval_report, power_db_per_s, si_sdr
 from .mixsim import (MixtureRecord, MixtureSpec, SimConfig, apply_occlusion,
-                     corpus_stats, simulate_general, simulate_highly_overlapped)
+                     corpus_stats, iter_overlapped_corpus, simulate_general)
 from .model import UsevConfig, UsevNet
 from .scenario import (ScenarioSegment, ScenarioTrack, classify_clip,
                        clip_bucket, label_scenarios, overlap_bucket,

@@ -70,7 +70,7 @@ def _coerce(default, raw: str):
     if isinstance(default, tuple):
         return _numbers(raw, len(default))
     if isinstance(default, LossWeights):
-        return LossWeights(*_numbers(raw, len(dataclasses.fields(LossWeights))))
+        return parse_weights(raw)
     if isinstance(default, dict):
         value = json.loads(raw)
         if not isinstance(value, dict):
@@ -84,6 +84,11 @@ def _numbers(raw: str, width: int) -> tuple:
     if len(parts) != width:
         raise ValueError(f"expected {width} comma-separated numbers, got {raw!r}")
     return parts
+
+
+def parse_weights(raw: str) -> LossWeights:
+    """'alpha,beta,gamma,delta': exactly 4 finite numbers >= 0."""
+    return LossWeights(*_numbers(raw, len(dataclasses.fields(LossWeights))))
 
 
 def _build(cls, kv: dict):

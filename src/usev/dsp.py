@@ -43,20 +43,6 @@ class AudioClip:
         return len(self) / self.sample_rate
 
 
-@dataclass
-class FrameMatrix:
-    """Strided frames of a clip: T rows of frame_len samples, advanced by hop."""
-
-    frames: np.ndarray  # [T, frame_len]
-    frame_len: int
-    hop: int
-    sample_rate: int
-
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
-
-
 def gather_frames(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     """Frames of the last axis: [..., n] -> [..., T, frame_len], a copy with
     row t = x[..., t*hop : t*hop + frame_len] and
@@ -78,35 +64,6 @@ def add_frames(frames: np.ndarray, hop: int) -> np.ndarray:
     return out.reshape(*lead, -1)[..., : (num - 1) * hop + flen]
 
 
-def frame_signal(clip: AudioClip, frame_len: int, hop: int) -> FrameMatrix:
-    """Slice a clip into T = floor((n - frame_len)/hop) + 1 overlapping frames.
-
-    Row t holds samples [t*hop, t*hop + frame_len); trailing samples that do
-    not fill a frame are dropped.
-    """
-    if frame_len < 1:
-        raise ValueError(f"frame_len must be >= 1, got {frame_len}")
-    if not 1 <= hop <= frame_len:
-        raise ValueError(f"hop must be in [1, frame_len], got {hop}")
-    x = clip.samples
-    if len(x) < frame_len:
-        raise ValueError(
-            f"signal of {len(x)} samples is shorter than one frame ({frame_len})"
-        )
-    return FrameMatrix(gather_frames(x, frame_len, hop), frame_len, hop,
-                       clip.sample_rate)
-
-
-def overlap_add(frames: FrameMatrix, hop: int | None = None) -> AudioClip:
-    """Sum frames back into a waveform of length (T-1)*hop + frame_len."""
-    if hop is None:
-        hop = frames.hop
-    mat = np.asarray(frames.frames, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] < 1:
-        raise ValueError(f"frames must be a non-empty 2-D matrix, got {mat.shape}")
-    return AudioClip(add_frames(mat, hop), frames.sample_rate)
-
-
 def energy(x) -> float:
     """Total energy: sum of squared samples."""
     s = _samples(x)
@@ -120,14 +77,8 @@ def snr_gain(reference_energy: float, signal_energy: float, snr_db: float) -> fl
     return float(np.sqrt(reference_energy / (signal_energy * 10.0 ** (snr_db / 10.0))))
 
 
-def scale_to_snr(reference: AudioClip, signal: AudioClip, snr_db: float) -> AudioClip:
-    """Scale `signal` so its energy sits snr_db below `reference`'s energy."""
-    g = snr_gain(energy(reference), energy(signal), snr_db)
-    return AudioClip(g * signal.samples, signal.sample_rate)
-
-
 def measure_snr_db(reference, signal) -> float:
-    """Measured 10*log10(E_ref / E_sig); the round-trip check for scale_to_snr."""
+    """Measured 10*log10(E_ref / E_sig); the round-trip check for snr_gain."""
     e_ref = energy(reference)
     e_sig = energy(signal)
     if e_ref <= 0.0 or e_sig <= 0.0:

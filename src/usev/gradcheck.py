@@ -306,6 +306,8 @@ class CheckResult:
 
 def run_gradcheck(scope: str = "all", seeds: int = 20) -> list[CheckResult]:
     """Run the op and/or model suites."""
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
     results = []
     if scope in ("all", "ops"):
         for name, check in OP_CHECKS.items():

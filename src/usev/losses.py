@@ -10,6 +10,7 @@ combined with 0/1 masks; concatenation order cannot matter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,9 @@ class LossWeights:
 
     def __post_init__(self):
         vals = (self.alpha, self.beta, self.gamma, self.delta)
-        if any(v < 0 for v in vals):
-            raise ValueError(f"loss weights must be nonnegative, got {vals}")
+        if not all(0.0 <= v < math.inf for v in vals):
+            raise ValueError(f"loss weights must be finite and nonnegative, "
+                             f"got {vals}")
         if all(v == 0 for v in vals):
             raise ValueError("at least one loss weight must be positive")
 

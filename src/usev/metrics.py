@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import AudioClip, _samples
+from .dsp import _samples
 from .scenario import BUCKETS, KINDS, TARGET_SPEAKS, classify_clip, clip_bucket
 
 EPS = 1e-8
@@ -36,21 +36,15 @@ def si_sdr(est, ref) -> float:
         np.dot(proj, proj) / (np.dot(resid, resid) + EPS) + EPS))
 
 
-def power_db_per_s(est, sample_rate: int | None = None) -> float:
+def power_db_per_s(est, sample_rate: int) -> float:
     """Duration-normalized energy, 10*log10(||s_hat||^2 / T_s + eps) in dB/s.
 
-    Digital silence reads -80 dB/s exactly. Accepts an AudioClip or a raw
-    array plus sample_rate.
+    Digital silence reads -80 dB/s exactly.
     """
-    if isinstance(est, AudioClip):
-        samples, rate = est.samples, est.sample_rate
-    else:
-        if sample_rate is None:
-            raise ValueError("sample_rate required when est is a raw array")
-        samples, rate = np.asarray(est, dtype=np.float64), sample_rate
+    samples = np.asarray(est, dtype=np.float64)
     if len(samples) == 0:
         raise ValueError("power is undefined for a zero-duration clip")
-    dur_s = len(samples) / rate
+    dur_s = len(samples) / sample_rate
     return float(10.0 * np.log10(np.dot(samples, samples) / dur_s + EPS))
 
 

@@ -204,29 +204,6 @@ def simulate_general(spec: MixtureSpec, corpus: UtteranceBank,
     )
 
 
-def simulate_highly_overlapped(spec: MixtureSpec, corpus: UtteranceBank,
-                               clip_id: str = "clip") -> MixtureRecord:
-    """Full-overlap mixing: every source is truncated to the shortest one.
-
-    Meant for banks of active-dominant utterances; the resulting track is
-    (near-)all SS.
-    """
-    cfg = corpus.cfg
-    lengths = [len(corpus.get(spec.target_source).clip)]
-    lengths += [len(corpus.get(i).clip) for i in spec.interference_sources]
-    spf = cfg.samples_per_frame
-    clip_len = (min(lengths) // spf) * spf
-    full = replace(
-        spec,
-        clip_len=clip_len,
-        target_crop=(0, clip_len),
-        interference_crops=[(0, clip_len)] * len(spec.interference_sources),
-        interference_offsets=[0] * len(spec.interference_sources),
-        target_absent=False,
-    )
-    return simulate_general(full, corpus, clip_id)
-
-
 def apply_occlusion(record: MixtureRecord, seed,
                     occlusion_fraction_range) -> MixtureRecord:
     """Zero a contiguous span of viseme frames; audio stays intact."""
@@ -240,9 +217,6 @@ def apply_occlusion(record: MixtureRecord, seed,
     visemes = record.viseme_stream.copy()
     if n_occ <= 0:
         spans = []
-    elif n_occ >= n_frames:
-        visemes[:] = 0.0
-        spans = [(0, n_frames)]
     else:
         start = int(rng.integers(0, n_frames - n_occ + 1))
         visemes[start : start + n_occ] = 0.0
@@ -482,22 +456,27 @@ def iter_corpus(cfg: SimConfig, count: int, seed: int, occlusion=None):
 
 
 def iter_overlapped_corpus(cfg: SimConfig, count: int, seed: int):
-    """Highly overlapped clips from a fully-active bank, with noise."""
+    """Highly overlapped clips from a fully-active bank, with noise: target
+    and interference both start at sample 0 and span the shorter utterance,
+    floored to the viseme frame grid, so the track is (near-)all SS."""
     bank = UtteranceBank(cfg, seed, cfg.n_utterances, fully_active=True)
+    spf = cfg.samples_per_frame
     for idx in range(count):
         rng = np.random.default_rng([seed, 2, idx])
         t_idx = int(rng.integers(len(bank)))
         others = [i for i in range(len(bank))
                   if bank.speaker_of(i) != bank.speaker_of(t_idx)]
         i_idx = others[int(rng.integers(len(others)))]
+        shorter = min(len(bank.get(t_idx).clip), len(bank.get(i_idx).clip))
+        clip_len = shorter // spf * spf
         spec = MixtureSpec(
-            target_source=t_idx, target_crop=(0, 0),
-            interference_sources=[i_idx], interference_crops=[(0, 0)],
+            target_source=t_idx, target_crop=(0, clip_len),
+            interference_sources=[i_idx], interference_crops=[(0, clip_len)],
             interference_offsets=[0],
             snr_db=[float(rng.uniform(*cfg.snr_db))],
             noise_snr_db=float(rng.uniform(*cfg.noise_snr_db)),
-            target_absent=False, clip_len=0, seed=int(rng.integers(2**62)))
-        yield simulate_highly_overlapped(spec, bank, clip_id=f"clip-{idx:06d}")
+            target_absent=False, clip_len=clip_len, seed=int(rng.integers(2**62)))
+        yield simulate_general(spec, bank, clip_id=f"clip-{idx:06d}")
 
 
 # -- viseme stream files ---------------------------------------------------------------
@@ -636,6 +615,8 @@ def load_record(row: dict, base_dir) -> MixtureRecord:
 def write_corpus(cfg: SimConfig, count: int, seed: int, out_dir,
                  occlusion=None, overlapped: bool = False) -> Path:
     """Simulate a corpus to disk; returns the manifest path."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     out = Path(out_dir)
     (out / "audio").mkdir(parents=True, exist_ok=True)
     if overlapped:

@@ -61,7 +61,6 @@ class SyntheticUtterance:
     activity: np.ndarray  # bool per sample
     viseme_frames: np.ndarray  # [ceil(dur*fps), dim]
     speaker_id: str
-    seed: object  # whatever seeded the generator, kept for provenance
 
     @cached_property
     def active_fraction(self) -> float:
@@ -89,12 +88,13 @@ def _activity_pattern(rng, n: int, sample_rate: int, duty: float,
     return mask
 
 
-def gen_utterance(seed, duration_s: float, cfg, duty: float | None = None,
-                  quiet: bool = False, speaker: int | None = None) -> SyntheticUtterance:
+def gen_utterance(seed, duration_s: float, cfg, duty: float,
+                  speaker: int) -> SyntheticUtterance:
     """Synthesize one utterance; bit-identical for identical arguments.
 
-    cfg needs: sample_rate, viseme_fps, visual_dim, n_speakers,
-    min_utterance_s, speech_span_s, utterance_rms.
+    duty is the target fraction of active samples; duty >= 1 makes the whole
+    utterance active. cfg needs: sample_rate, viseme_fps, visual_dim,
+    n_speakers, min_utterance_s, speech_span_s, utterance_rms.
     """
     if duration_s < cfg.min_utterance_s:
         raise ValueError(
@@ -103,17 +103,11 @@ def gen_utterance(seed, duration_s: float, cfg, duty: float | None = None,
     rng = np.random.default_rng(seed)
     sr = cfg.sample_rate
     n = int(round(duration_s * sr))
-    if speaker is None:
-        speaker = int(rng.integers(cfg.n_speakers))
     f0 = speaker_f0(speaker, cfg.n_speakers) * rng.uniform(0.97, 1.03)
 
-    if quiet:
-        activity = np.zeros(n, dtype=bool)
-    elif duty is not None and duty >= 1.0:
+    if duty >= 1.0:
         activity = np.ones(n, dtype=bool)
     else:
-        if duty is None:
-            duty = rng.uniform(0.35, 0.95)
         activity = _activity_pattern(rng, n, sr, duty, cfg.speech_span_s)
 
     audio = np.zeros(n)
@@ -154,10 +148,10 @@ def gen_utterance(seed, duration_s: float, cfg, duty: float | None = None,
             phoneme[pos : pos + ph_n] = ph
             pos += ph_n
 
-    if activity.any():
-        rms = np.sqrt(np.mean(audio[activity] ** 2))
-        if rms > 0:
-            audio *= cfg.utterance_rms / rms
+    # Every activity pattern starts with speech, so the mean is defined.
+    rms = np.sqrt(np.mean(audio[activity] ** 2))
+    if rms > 0:
+        audio *= cfg.utterance_rms / rms
     audio[~activity] = 0.0
 
     # ceil(duration_s * fps) computed exactly on sample counts
@@ -180,7 +174,6 @@ def gen_utterance(seed, duration_s: float, cfg, duty: float | None = None,
         activity=activity,
         viseme_frames=frames,
         speaker_id=f"spk{speaker:03d}",
-        seed=seed,
     )
 
 

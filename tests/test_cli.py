@@ -69,6 +69,35 @@ def test_gradcheck_command(capsys):
     assert "PASS" in out and "max_rel_err" in out
 
 
+@pytest.mark.parametrize("args,message", [
+    (["simulate", "--count", -3, "--seed", 0],
+     "count must be at least 1, got -3"),
+    (["gradcheck", "--scope", "ops", "--seeds", 0],
+     "seeds must be at least 1, got 0"),
+], ids=["simulate-count", "gradcheck-seeds"])
+def test_count_below_one_gives_param_exit_code(tmp_path, capsys, args,
+                                               message):
+    if args[0] == "simulate":
+        args = args + ["--out", tmp_path / "o"]
+    assert run(args) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.jsonl").exists()
+
+
+@pytest.mark.parametrize("grid,bad", [
+    ("0.1,1,1", "0.1,1,1"),
+    ("0.1,1,1,1,1", "0.1,1,1,1,1"),
+    ("0.005,1,1,0.005;nan,1,1,1", "nan,1,1,1"),
+], ids=["three", "five", "nan"])
+def test_sweep_grid_tuple_not_four_finite_numbers_gives_param_exit_code(
+        tmp_path, capsys, grid, bad):
+    missing = tmp_path / "none.jsonl"
+    assert run(["sweep", "--train-manifest", missing, "--val-manifest",
+                missing, "--out", tmp_path / "o", "--grid", grid]) == 2
+    assert f"--grid tuple {bad!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_manifest_gives_io_exit_code(tmp_path):
     assert run(["stats", "--manifest", tmp_path / "nope.jsonl"]) == 3
 
@@ -104,6 +133,8 @@ SIM_OK = "clip_s = 1.0,1.4\nutterance_s = 3.0,4.0\n"
      "bucket_weights must not all be zero"),
     ("train", "weights = 1,1,1\n",
      "'weights': expected 4 comma-separated numbers"),
+    ("train", "weights = nan,1,1,1\n",
+     "line 1: config key 'weights': loss weights must be finite"),
     ("train", "max_epochs = many\n", "'max_epochs'"),
     ("train", "kernel_len = 41\n", "encoder kernel_len must be even and positive"),
     ("simulate", "clip_s = 9.0,9.5\nutterance_s = 3.0,4.0\n",

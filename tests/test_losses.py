@@ -182,6 +182,11 @@ class TestLossWeights:
         with pytest.raises(ValueError):
             LossWeights(-0.1, 1, 1, 0.005)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LossWeights(bad, 1, 1, 0.005)
+
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):
             LossWeights(0, 0, 0, 0)

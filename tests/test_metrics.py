@@ -87,7 +87,7 @@ class TestPower:
     def test_unit_energy_one_second(self):
         x = np.zeros(8000)
         x[0] = 1.0
-        assert power_db_per_s(AudioClip(x, 8000)) == pytest.approx(0.0, abs=1e-7)
+        assert power_db_per_s(x, 8000) == pytest.approx(0.0, abs=1e-7)
 
     def test_unit_energy_two_seconds(self):
         x = np.zeros(16000)
@@ -106,8 +106,6 @@ class TestPower:
     def test_zero_duration(self):
         with pytest.raises(ValueError):
             power_db_per_s(np.zeros(0), 8000)
-        with pytest.raises(ValueError):
-            power_db_per_s(np.zeros(5))  # missing sample rate
 
 
 class TestEvalReport:

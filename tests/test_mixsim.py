@@ -9,8 +9,7 @@ from usev.dsp import energy, measure_snr_db
 from usev.mixsim import (MixtureSpec, SimConfig, apply_occlusion, corpus_stats,
                          iter_corpus, iter_overlapped_corpus, load_record,
                          plan_clip, read_manifest, read_visemes, record_row,
-                         simulate_clip, simulate_general,
-                         simulate_highly_overlapped, write_corpus,
+                         simulate_clip, simulate_general, write_corpus,
                          write_manifest, write_visemes, _window_overlap)
 from usev.scenario import (classify_clip, clip_bucket, label_scenarios,
                            overlap_bucket, overlap_ratio)
@@ -26,23 +25,16 @@ def bank():
     return UtteranceBank(CFG, seed=11, count=8)
 
 
-def reference_utterance(seed, duration_s, cfg, duty=None, quiet=False,
-                        speaker=None):
+def reference_utterance(seed, duration_s, cfg, duty, speaker):
     """gen_utterance written plainly: one harmonic at a time per phoneme and
     one viseme frame at a time, with the same random draws in order."""
     rng = np.random.default_rng(seed)
     sr = cfg.sample_rate
     n = int(round(duration_s * sr))
-    if speaker is None:
-        speaker = int(rng.integers(cfg.n_speakers))
     f0 = synth.speaker_f0(speaker, cfg.n_speakers) * rng.uniform(0.97, 1.03)
-    if quiet:
-        activity = np.zeros(n, dtype=bool)
-    elif duty is not None and duty >= 1.0:
+    if duty >= 1.0:
         activity = np.ones(n, dtype=bool)
     else:
-        if duty is None:
-            duty = rng.uniform(0.35, 0.95)
         activity = synth._activity_pattern(rng, n, sr, duty, cfg.speech_span_s)
     audio = np.zeros(n)
     phoneme = np.full(n, -1, dtype=np.int32)
@@ -72,10 +64,9 @@ def reference_utterance(seed, duration_s, cfg, duty=None, quiet=False,
             audio[pos : pos + ph_n] = seg
             phoneme[pos : pos + ph_n] = ph
             pos += ph_n
-    if activity.any():
-        rms = np.sqrt(np.mean(audio[activity] ** 2))
-        if rms > 0:
-            audio *= cfg.utterance_rms / rms
+    rms = np.sqrt(np.mean(audio[activity] ** 2))
+    if rms > 0:
+        audio *= cfg.utterance_rms / rms
     audio[~activity] = 0.0
     spf = sr // cfg.viseme_fps
     basis = synth.viseme_basis(cfg.visual_dim)
@@ -90,30 +81,25 @@ def reference_utterance(seed, duration_s, cfg, duty=None, quiet=False,
 
 class TestGenUtterance:
     def test_deterministic(self):
-        a = gen_utterance(123, 4.0, CFG)
-        b = gen_utterance(123, 4.0, CFG)
+        a = gen_utterance(123, 4.0, CFG, duty=0.6, speaker=1)
+        b = gen_utterance(123, 4.0, CFG, duty=0.6, speaker=1)
         assert np.array_equal(a.clip.samples, b.clip.samples)
         assert np.array_equal(a.viseme_frames, b.viseme_frames)
         assert np.array_equal(a.activity, b.activity)
 
-    def test_quiet_request_all_zero(self):
-        u = gen_utterance(5, 3.0, CFG, quiet=True)
-        assert energy(u.clip) == 0.0
-        assert not u.viseme_frames.any()
-
     def test_inactive_spans_have_zero_energy(self):
-        u = gen_utterance(7, 6.0, CFG)
+        u = gen_utterance(7, 6.0, CFG, duty=0.5, speaker=2)
         assert energy(u.clip.samples[~u.activity]) == 0.0
         assert energy(u.clip.samples[u.activity]) > 0.0
 
     def test_viseme_frame_count(self):
         for dur in (3.0, 4.12, 5.5):
-            u = gen_utterance(1, dur, CFG)
+            u = gen_utterance(1, dur, CFG, duty=0.7, speaker=0)
             assert u.viseme_frames.shape == (int(np.ceil(dur * 25)),
                                              CFG.visual_dim)
 
     def test_quiet_frames_are_zero_vectors(self):
-        u = gen_utterance(9, 6.0, CFG)
+        u = gen_utterance(9, 6.0, CFG, duty=0.4, speaker=3)
         spf = CFG.samples_per_frame
         for k in range(u.viseme_frames.shape[0]):
             center = min(len(u.clip) - 1, k * spf + spf // 2)
@@ -122,10 +108,10 @@ class TestGenUtterance:
 
     def test_below_minimum_duration(self):
         with pytest.raises(ValueError):
-            gen_utterance(1, 2.0, CFG)
+            gen_utterance(1, 2.0, CFG, duty=0.7, speaker=0)
 
     def test_fully_active_duty(self):
-        u = gen_utterance(3, 4.0, CFG, duty=1.0)
+        u = gen_utterance(3, 4.0, CFG, duty=1.0, speaker=4)
         assert u.activity.all()
 
     @pytest.mark.parametrize("cfg", [
@@ -136,15 +122,14 @@ class TestGenUtterance:
     ], ids=["8k", "16k", "4k"])
     def test_matches_the_plain_reference_bit_for_bit(self, cfg):
         rng = np.random.default_rng(7)
-        variants = [{}, {"duty": 1.0}, {"quiet": True},
-                    {"duty": 0.1, "speaker": 2}, {"duty": 0.6}]
+        variants = [(0.35, 0), (1.0, 1), (0.95, 2), (0.1, 2), (0.6, 0)]
         for s in range(24):
-            kwargs = variants[s % len(variants)]
+            duty, speaker = variants[s % len(variants)]
             # Off the frame grid too, so the last viseme frame is partial.
             duration = float(rng.uniform(*cfg.utterance_s)) + 0.0123 * (s % 2)
-            u = gen_utterance([s, 5], duration, cfg, **kwargs)
+            u = gen_utterance([s, 5], duration, cfg, duty=duty, speaker=speaker)
             audio, activity, frames, speaker_id = reference_utterance(
-                [s, 5], duration, cfg, **kwargs)
+                [s, 5], duration, cfg, duty, speaker)
             assert u.clip.samples.tobytes() == audio.tobytes()
             assert np.array_equal(u.activity, activity)
             assert u.viseme_frames.shape == frames.shape
@@ -267,35 +252,30 @@ class TestSimulateGeneral:
             simulate_general(spec, bank)
 
 
-class TestSimulateHighlyOverlapped:
+OVERLAPPED = SimConfig(utterance_s=(4.0, 6.0), clip_s=(3.0, 4.0),
+                       n_utterances=4)
+
+
+class TestOverlappedCorpus:
     def test_fully_active_pair_is_single_ss(self):
-        cfg = SimConfig(utterance_s=(4.0, 6.0), clip_s=(3.0, 4.0))
-        bank = UtteranceBank(cfg, seed=3, count=4, fully_active=True)
-        spec = MixtureSpec(0, (0, 0), [1], [(0, 0)], [0], [0.0], None,
-                           False, 0, 7)
-        rec = simulate_highly_overlapped(spec, bank)
-        assert [s.kind for s in rec.track.segments] == ["SS"]
-        want = min(len(bank.get(0).clip), len(bank.get(1).clip))
-        want -= want % cfg.samples_per_frame
-        assert len(rec.mixture) == want
+        bank = UtteranceBank(OVERLAPPED, seed=3, count=4, fully_active=True)
+        for rec in iter_overlapped_corpus(OVERLAPPED, 3, seed=3):
+            assert [s.kind for s in rec.track.segments] == ["SS"]
+            want = min(len(bank.get(rec.spec.target_source).clip),
+                       len(bank.get(rec.spec.interference_sources[0]).clip))
+            want -= want % OVERLAPPED.samples_per_frame
+            assert len(rec.mixture) == want
 
     def test_snr_round_trip(self):
-        cfg = SimConfig(utterance_s=(4.0, 6.0), clip_s=(3.0, 4.0))
-        bank = UtteranceBank(cfg, seed=3, count=4, fully_active=True)
-        spec = MixtureSpec(0, (0, 0), [1], [(0, 0)], [0], [-6.5], 4.0,
-                           False, 0, 7)
-        rec = simulate_highly_overlapped(spec, bank)
-        got = measure_snr_db(rec.target_truth, rec.components["interference_0"])
-        assert got == pytest.approx(-6.5, abs=1e-9)
+        for rec in iter_overlapped_corpus(OVERLAPPED, 3, seed=3):
+            got = measure_snr_db(rec.target_truth,
+                                 rec.components["interference_0"])
+            assert got == pytest.approx(rec.spec.snr_db[0], abs=1e-9)
 
 
 class TestApplyOcclusion:
     def _record(self):
-        cfg = SimConfig(utterance_s=(4.0, 6.0), clip_s=(3.0, 4.0))
-        bank = UtteranceBank(cfg, seed=5, count=4, fully_active=True)
-        spec = MixtureSpec(0, (0, 0), [1], [(0, 0)], [0], [0.0], None,
-                           False, 0, 9)
-        return simulate_highly_overlapped(spec, bank)
+        return next(iter_overlapped_corpus(OVERLAPPED, 1, seed=5))
 
     def test_fraction_zero_unchanged(self):
         rec = self._record()

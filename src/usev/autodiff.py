@@ -13,6 +13,7 @@ GPU path and broadcasting is limited to what numpy does elementwise.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -20,6 +21,10 @@ import numpy as np
 from .dsp import add_frames, gather_frames
 
 LN_EPS = 1e-8  # layer-norm variance stabilizer
+# Multiply-adds of one direction's recurrent GEMM per step (batch * H * 4H)
+# from which bilstm runs its two directions on two threads; below it a
+# thread costs more than it overlaps (crossover table in CHANGES.md).
+BILSTM_THREAD_MACS = 2_000_000
 
 
 class Tensor:
@@ -412,9 +417,12 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Tensor:
     order i, f, g, o; zero initial states. The output concatenates the two
     directions per step -> [T, 2H] or [T, batch, 2H]. One loop over step s
     runs both directions as a batch of two; direction 1 reads time T-1-s.
-    Gates and cell states are taped only when some input needs a gradient.
-    Backward runs BPTT by hand, then forms the input and weight gradients
-    with one GEMM per direction over the whole sequence.
+    When a step's recurrent GEMM reaches BILSTM_THREAD_MACS, direction 1
+    runs that loop on a worker thread while the caller runs direction 0:
+    the same numpy calls per direction into disjoint slices, so the results
+    are bit-identical. Gates and cell states are taped only when some input
+    needs a gradient. Backward runs BPTT by hand, then forms the input and
+    weight gradients with one GEMM per direction over the whole sequence.
     """
     parents = tuple(_coerce(p) for p in (x, wx_f, wh_f, b_f, wx_b, wh_b, b_b))
     x = parents[0]
@@ -432,22 +440,35 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Tensor:
         tanh_cells = np.empty((2, t_len, batch, hidden))
     gi, gf, gg, go = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
     out = np.empty((t_len, batch, 2 * hidden))
-    h = c = np.zeros((2, batch, hidden))
-    for s in range(t_len):
-        z = np.matmul(xs[:, s], wx)
-        z += np.matmul(h, wh)
-        z += b
-        act = 1.0 / (1.0 + np.exp(-z))
-        act[..., gg] = np.tanh(z[..., gg])
-        c = act[..., gf] * c + act[..., gi] * act[..., gg]
-        tanh_c = np.tanh(c)
-        h = act[..., go] * tanh_c
-        out[s, :, :hidden] = h[0]
-        out[t_len - 1 - s, :, hidden:] = h[1]
-        if taped:
-            gates[:, s] = act
-            cells[:, s] = c
-            tanh_cells[:, s] = tanh_c
+    out_steps = (out[:, :, :hidden], out[::-1, :, hidden:])  # each in step order
+
+    def run(ds: slice) -> None:
+        writes = list(enumerate(out_steps[ds]))
+        xs_d, wx_d, wh_d, b_d = xs[ds], wx[ds], wh[ds], b[ds]
+        h = c = np.zeros((len(writes), batch, hidden))
+        for s in range(t_len):
+            z = np.matmul(xs_d[:, s], wx_d)
+            z += np.matmul(h, wh_d)
+            z += b_d
+            act = 1.0 / (1.0 + np.exp(-z))
+            act[..., gg] = np.tanh(z[..., gg])
+            c = act[..., gf] * c + act[..., gi] * act[..., gg]
+            tanh_c = np.tanh(c)
+            h = act[..., go] * tanh_c
+            for k, o_steps in writes:
+                o_steps[s] = h[k]
+            if taped:
+                gates[ds, s] = act
+                cells[ds, s] = c
+                tanh_cells[ds, s] = tanh_c
+
+    if batch * hidden * 4 * hidden < BILSTM_THREAD_MACS:
+        run(slice(0, 2))
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            worker = pool.submit(run, slice(1, 2))
+            run(slice(0, 1))
+            worker.result()
 
     def bwd(grad):
         grad = grad.reshape(out.shape)

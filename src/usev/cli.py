@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="viseme occlusion fraction range")
     s.add_argument("--noisy", action="store_true", help="add background noise")
     s.add_argument("--overlapped", action="store_true",
-                   help="highly overlapped pre-training style corpus")
+                   help="highly overlapped pre-training style corpus; always "
+                        "noisy at noise_snr_db, never occluded")
     s.set_defaults(fn=cmd_simulate)
 
     s = sub.add_parser("stats", help="corpus composition from a manifest")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,8 +145,8 @@ def _check_finite(loss, model: UsevNet, epoch: int, step: int, clip_ids) -> None
                          f"{' and '.join(bad)} on clips {clip_ids}")
 
 
-def _train_step(cfg: TrainConfig, model: UsevNet, opt, crops, epoch: int,
-                step: int, clip_ids) -> float:
+def train_step(cfg: TrainConfig, model: UsevNet, opt, crops, epoch: int,
+               step: int, clip_ids) -> float:
     """One Adam step on the mean loss over the cropped clips; returns the
     loss. The step's graph dies with this frame, before the next step builds
     its own."""
@@ -214,7 +214,7 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
                 batch = [train_records[int(i)]
                          for i in order[start : start + cfg.batch_size]]
                 crops = [_random_crop(rng, rec, n_trunc, spf) for rec in batch]
-                batch_losses.append(_train_step(
+                batch_losses.append(train_step(
                     cfg, model, opt, crops, epoch, step,
                     [rec.clip_id for rec in batch]))
             train_loss = float(np.mean(batch_losses))
@@ -304,10 +304,24 @@ def evaluate(model_or_checkpoint, test_data, out_dir,
     return reports
 
 
+def _grid_weights(i: int, tup) -> LossWeights:
+    """Grid entry i as LossWeights: exactly 4 finite numbers >= 0, the rule
+    config.parse_weights applies to a --grid tuple."""
+    if isinstance(tup, LossWeights):
+        return tup
+    n = len(fields(LossWeights))
+    try:
+        if len(tup) != n:
+            raise ValueError(f"expected {n} numbers")
+        return LossWeights(*tup)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"weight grid entry {i} {tup!r}: {e}") from None
+
+
 def sweep_weights(base_cfg: TrainConfig, model_cfg: UsevConfig, weight_grid,
                   train_data, val_data, out_dir) -> list[dict]:
     """Train and evaluate one system per weight tuple; emit a comparison."""
-    weight_grid = list(weight_grid)
+    weight_grid = [_grid_weights(i, tup) for i, tup in enumerate(weight_grid)]
     if not weight_grid:
         raise ValueError("weight grid is empty")
     out = Path(out_dir)
@@ -315,8 +329,7 @@ def sweep_weights(base_cfg: TrainConfig, model_cfg: UsevConfig, weight_grid,
     train_records = _load_records(train_data)
     val_records = _load_records(val_data)
     rows = []
-    for i, tup in enumerate(weight_grid):
-        weights = tup if isinstance(tup, LossWeights) else LossWeights(*tup)
+    for i, weights in enumerate(weight_grid):
         cfg = replace(base_cfg, weights=weights, loss="differentiated")
         result = train(cfg, model_cfg, train_records, val_records,
                        out / f"system{i}")

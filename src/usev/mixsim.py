@@ -456,9 +456,11 @@ def iter_corpus(cfg: SimConfig, count: int, seed: int, occlusion=None):
 
 
 def iter_overlapped_corpus(cfg: SimConfig, count: int, seed: int):
-    """Highly overlapped clips from a fully-active bank, with noise: target
-    and interference both start at sample 0 and span the shorter utterance,
-    floored to the viseme frame grid, so the track is (near-)all SS."""
+    """Highly overlapped clips from a fully-active bank: target and
+    interference both start at sample 0 and span the shorter utterance,
+    floored to the viseme frame grid, so the track is (near-)all SS. Every
+    clip carries noise at an SNR drawn from `cfg.noise_snr_db`, whatever
+    `cfg.noisy` says, and no viseme occlusion."""
     bank = UtteranceBank(cfg, seed, cfg.n_utterances, fully_active=True)
     spf = cfg.samples_per_frame
     for idx in range(count):
@@ -617,6 +619,9 @@ def write_corpus(cfg: SimConfig, count: int, seed: int, out_dir,
     """Simulate a corpus to disk; returns the manifest path."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if overlapped and occlusion is not None:
+        raise ValueError("--occlusion does not apply to --overlapped corpora, "
+                         "which are never occluded")
     out = Path(out_dir)
     (out / "audio").mkdir(parents=True, exist_ok=True)
     if overlapped:

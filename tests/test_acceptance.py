@@ -15,7 +15,7 @@ from usev import autodiff as ad
 from usev.autodiff import chunk_geometry
 from usev.dsp import add_frames, gather_frames, measure_snr_db
 from usev.gradcheck import MODEL_TOL, OP_CHECKS, OP_TOL, run_gradcheck
-from usev.harness import TrainConfig
+from usev.harness import TrainConfig, learning_rate, train_step
 from usev.losses import (EPS as LOSS_EPS, LossWeights, loss_differentiated,
                          loss_energy, loss_sdr, loss_uniform,
                          tensor_loss_differentiated)
@@ -340,23 +340,16 @@ def test_criterion_7_desk_scale_overfit():
     opt = ad.Adam(model.trainable_params(), lr=cfg.lr0)
     rng = np.random.default_rng(0)
     steps = 0
+    # The shipped training step on whole clips, in this test's own batch order.
     for epoch in range(cfg.max_epochs):
-        opt.lr = cfg.lr0 * cfg.lr_decay_per_epoch**epoch
+        opt.lr = learning_rate(cfg, epoch)
         order = rng.permutation(len(records))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            opt.zero_grad()
-            terms = []
-            for idx in batch:
-                rec = records[int(idx)]
-                est = model.forward(rec.mixture.samples, rec.viseme_stream)
-                terms.append(tensor_loss_differentiated(
-                    est, rec.target_truth.samples, rec.track, cfg.weights))
-            total = terms[0]
-            for t in terms[1:]:
-                total = total + t
-            (total * (1.0 / len(terms))).backward()
-            opt.step()
+        for step, start in enumerate(range(0, len(order), cfg.batch_size)):
+            batch = [records[int(i)] for i in order[start : start + cfg.batch_size]]
+            train_step(cfg, model, opt,
+                       [(rec.mixture.samples, rec.target_truth.samples,
+                         rec.viseme_stream, rec.track) for rec in batch],
+                       epoch, step, [rec.clip_id for rec in batch])
             steps += 1
     assert steps >= 200
 

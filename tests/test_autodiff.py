@@ -1,5 +1,6 @@
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +26,22 @@ def desk_loss():
     track = label_scenarios(np.arange(n) < n // 2, np.arange(n) >= n // 4)
     return tensor_loss_differentiated(est, rng.standard_normal(n), track,
                                       LossWeights())
+
+
+def _thread_every_bilstm(monkeypatch, threaded: bool = True) -> list:
+    """Move bilstm's threshold so that every call (threaded) or no call
+    runs direction 1 on a worker thread; the returned list gains one entry
+    per worker started."""
+    monkeypatch.setattr(ad, "BILSTM_THREAD_MACS", 1 if threaded else 10**18)
+    workers = []
+
+    class Recording(ad.ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            workers.append(args)
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(ad, "ThreadPoolExecutor", Recording)
+    return workers
 
 
 class TestBackwardBasics:
@@ -306,9 +323,7 @@ class TestBilstm:
             halves.append(half)
         return np.concatenate(halves, axis=2)
 
-    @pytest.mark.parametrize("t_len", [1, 2, 5])
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_fused_matches_unrolled_oracle(self, t_len, batch):
+    def _assert_matches_oracle(self, t_len, batch):
         rng = np.random.default_rng(10 * t_len + batch)
         f, h = 4, 3
         x = rng.standard_normal((t_len, batch, f))
@@ -323,6 +338,18 @@ class TestBilstm:
         np.testing.assert_allclose(got.reshape(want.shape), want,
                                    rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("t_len", [1, 2, 5])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_fused_matches_unrolled_oracle(self, t_len, batch):
+        self._assert_matches_oracle(t_len, batch)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 5])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_threaded_matches_unrolled_oracle(self, t_len, batch, monkeypatch):
+        workers = _thread_every_bilstm(monkeypatch)
+        self._assert_matches_oracle(t_len, batch)
+        assert workers
+
     def test_no_grad_output_is_bit_identical_to_taped(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((6, 3, 4))
@@ -334,6 +361,62 @@ class TestBilstm:
             folded = ad.bilstm(Tensor(x), *params)
         assert folded.op == "leaf"
         np.testing.assert_array_equal(folded.data, taped.data)
+
+    @pytest.mark.parametrize("shape", [(6, 5), (6, 3, 5)])
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_threaded_is_bit_identical_to_single_loop(self, monkeypatch, shape, taped):
+        rng = np.random.default_rng(13)
+        f, h = shape[-1], 4
+        arrays = [rng.standard_normal(shape)] + [
+            rng.standard_normal(s) * 0.5 for s in ((f, 4 * h), (h, 4 * h), (4 * h,)) * 2]
+        upstream = Tensor(rng.standard_normal(shape[:-1] + (2 * h,)))
+
+        def run(threaded):
+            workers = _thread_every_bilstm(monkeypatch, threaded)
+            ts = [Tensor(a, requires_grad=True) for a in arrays]
+            if taped:
+                out = ad.bilstm(*ts)
+                (out * upstream).sum().backward()
+                results = [out.data] + [t.grad for t in ts]
+            else:
+                with ad.no_grad(ts):
+                    results = [ad.bilstm(*ts).data]
+            assert len(workers) == threaded
+            return results
+
+        single, threaded = run(False), run(True)
+        assert len(single) == (8 if taped else 1)
+        for want, got in zip(single, threaded):
+            np.testing.assert_array_equal(got, want)
+
+    def test_worker_fault_reaches_caller_and_no_thread_survives(self, monkeypatch):
+        _thread_every_bilstm(monkeypatch)
+        caller = threading.current_thread()
+        matmul = np.matmul
+
+        def faulty(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("planted fault in direction 1")
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(ad.np, "matmul", faulty)
+        rng = np.random.default_rng(14)
+        params = [Tensor(rng.standard_normal(s)) for s in ((3, 8), (2, 8), (8,)) * 2]
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="planted fault in direction 1"):
+            ad.bilstm(Tensor(rng.standard_normal((4, 3))), *params)
+        assert threading.active_count() == before
+
+    def test_desk_model_never_threads(self, monkeypatch):
+        # The largest desk-config call: a 5 s clip at 8 kHz, as the corpus
+        # workload evaluates it, whose intra-chunk call has a batch of 251.
+        monkeypatch.setattr(ad, "ThreadPoolExecutor", None)  # a threaded call fails
+        cfg = UsevConfig()
+        model = UsevNet(cfg, seed=0)
+        rng = np.random.default_rng(15)
+        with ad.no_grad(model.trainable_params()):
+            model.forward(rng.standard_normal(5 * cfg.sample_rate),
+                          rng.uniform(size=(125, cfg.visual_dim)))
 
     def test_desk_graph_has_one_node_per_blstm(self):
         ops = [node.op for node in ad.toposort(desk_loss())]
@@ -350,6 +433,12 @@ class TestGradientChecks:
     def test_op(self, name):
         err = max(OP_CHECKS[name](seed) for seed in range(3))
         assert err <= OP_TOL, f"{name}: max rel err {err}"
+
+    def test_bilstm_threaded(self, monkeypatch):
+        workers = _thread_every_bilstm(monkeypatch)
+        err = max(OP_CHECKS["bilstm"](seed) for seed in range(3))
+        assert workers
+        assert err <= OP_TOL, f"threaded bilstm: max rel err {err}"
 
     def test_negative_control_detects_corruption(self, plant_backward):
         plant_backward("relu", 1.5)

@@ -37,6 +37,24 @@ def test_simulate_with_occlusion_flag(tmp_path):
     assert all(r["noise_snr_db"] is not None for r in rows)
 
 
+
+def test_overlapped_with_occlusion_gives_param_exit_code(tmp_path, capsys):
+    # Overlapped clips are never occluded, so the flag must not pass silently.
+    out = tmp_path / "ov"
+    assert run(["simulate", "--out", out, "--count", 2, "--seed", 0,
+                "--overlapped", "--occlusion", "0.5,0.5"]) == 2
+    assert "--occlusion" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overlapped_clips_are_noisy_without_noisy_flag(tmp_path):
+    out = tmp_path / "ov"
+    assert run(["simulate", "--out", out, "--count", 2, "--seed", 0,
+                "--overlapped"]) == 0
+    rows = read_manifest(out / "manifest.jsonl")
+    assert all(r["noise_snr_db"] is not None for r in rows)
+    assert not any(r["occlusion_spans"] for r in rows)
+
 TINY_RUN = ("sample_rate = 8000\nencoder_dim = 8\nkernel_len = 8\n"
             "bottleneck = 4\nrepeats = 1\nchunk = 8\nvtcn_repeats = 1\n"
             "visual_dim = 8\n"

@@ -278,6 +278,15 @@ class TestSweep:
                           tiny_records, tmp_path)
 
 
+    @pytest.mark.parametrize("last", [(1, 1, 1), (0.005, 1, 1, 0.005, 1)],
+                             ids=["three", "five"])
+    def test_bad_last_tuple_rejected_before_any_training(self, tiny_records,
+                                                         tmp_path, last):
+        with pytest.raises(ValueError, match="weight grid entry 1"):
+            sweep_weights(TrainConfig(), TINY_MODEL, [(0.005, 1, 1, 0.005), last],
+                          tiny_records, tiny_records, tmp_path)
+        assert not (tmp_path / "system0").exists()
+
 class TestTrainFromManifest:
     def test_train_and_evaluate_via_files(self, tmp_path):
         manifest = write_corpus(TINY_SIM, 3, seed=32, out_dir=tmp_path / "data")

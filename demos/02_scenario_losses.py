@@ -9,8 +9,9 @@ scenario boundaries exactly.
 import numpy as np
 
 from usev import autodiff as ad
-from usev.losses import (LossWeights, loss_differentiated, loss_energy,
-                         loss_sdr, loss_uniform, tensor_loss_differentiated)
+from usev.losses import (LossWeights, loss_differentiated,
+                         tensor_loss_differentiated, tensor_loss_energy,
+                         tensor_loss_sdr, tensor_loss_uniform)
 from usev.scenario import label_scenarios
 
 rng = np.random.default_rng(0)
@@ -31,16 +32,18 @@ mixture = target + interf
 # An estimate that reconstructs speech well but leaks interference a little.
 est = target + 0.2 * interf
 
-print(f"\nuniform loss of the estimate:        {loss_uniform(est, target):8.3f}")
+# A builder evaluated on a constant Tensor folds to a value; no graph is kept.
+uniform = tensor_loss_uniform(ad.Tensor(est), target).item()
+print(f"\nuniform loss of the estimate:        {uniform:8.3f}")
 print(f"differentiated loss (default weights): "
       f"{loss_differentiated(est, target, track):8.3f}")
 for kind in ("QQ", "SQ", "SS", "QS"):
     m = track.kind_mask(kind)
     if kind in ("SQ", "SS"):
-        val = loss_sdr(est[m], target[m])
+        val = tensor_loss_sdr(ad.Tensor(est[m]), target[m]).item()
         print(f"  {kind}: sdr loss      {val:8.3f}")
     else:
-        val = loss_energy(est[m])
+        val = tensor_loss_energy(ad.Tensor(est[m])).item()
         print(f"  {kind}: energy loss   {val:8.3f}")
 
 # Gradient selectivity: zeroing the quiet-kind weights removes every bit of

@@ -1,9 +1,11 @@
-"""Two-stage training of a tiny extractor on synthetic mixtures.
+"""Curriculum training of a tiny extractor on synthetic mixtures.
 
-Stage 2 pre-trains on highly overlapped clips with the SDR loss; stage 3
-continues from that checkpoint on general mixtures with the differentiated
-loss. Uses a very small network and a handful of clips so the whole script
-runs in about a minute; see the acceptance suite for the full overfit run.
+The curriculum is two `train` runs: the first pre-trains on highly
+overlapped clips with `loss="sdr"`; the second sets `init_checkpoint` to the
+first run's best checkpoint and trains on general mixtures with
+`loss="differentiated"`. Uses a very small network and a handful of clips
+so the whole script runs in about a minute; see the acceptance suite for
+the full overfit run.
 """
 
 from pathlib import Path
@@ -25,29 +27,27 @@ overlapped = list(iter_overlapped_corpus(
     SimConfig(sample_rate=8000, clip_s=(0.8, 1.0), utterance_s=(3.0, 4.0),
               n_utterances=10, n_speakers=5), 6, seed=3))
 
-print("stage 2: pre-train on highly overlapped clips (SDR loss)")
-stage2 = TrainConfig(stage="pretrain_overlapped", lr0=1e-3, max_epochs=4,
-                     patience=8, batch_size=3, clip_truncate_s=1.0,
-                     loss="sdr", seed=0)
-r2 = train(stage2, model_cfg, overlapped, overlapped, out / "stage2")
+print("pre-train on highly overlapped clips (SDR loss)")
+pretrain = TrainConfig(lr0=1e-3, max_epochs=4, patience=8, batch_size=3,
+                       clip_truncate_s=1.0, loss="sdr", seed=0)
+r1 = train(pretrain, model_cfg, overlapped, overlapped, out / "pretrain")
+for h in r1.history:
+    print(f"  epoch {h['epoch']}: lr {h['lr']:.2e} "
+          f"train {h['train_loss']:7.3f} val {h['val_loss']:7.3f}")
+
+print("\ntrain on general mixtures (differentiated loss), "
+      "starting from the pre-trained checkpoint")
+general = TrainConfig(lr0=1e-4, max_epochs=4, patience=8, batch_size=3,
+                      clip_truncate_s=1.0, loss="differentiated", seed=0,
+                      init_checkpoint=str(r1.best_checkpoint))
+r2 = train(general, None, train_general, val_general, out / "general")
 for h in r2.history:
     print(f"  epoch {h['epoch']}: lr {h['lr']:.2e} "
           f"train {h['train_loss']:7.3f} val {h['val_loss']:7.3f}")
 
-print("\nstage 3: train on general mixtures (differentiated loss), "
-      "resuming from the stage-2 checkpoint")
-stage3 = TrainConfig(stage="train_general", lr0=1e-4, max_epochs=4,
-                     patience=8, batch_size=3, clip_truncate_s=1.0,
-                     loss="differentiated", seed=0,
-                     init_checkpoint=str(r2.best_checkpoint))
-r3 = train(stage3, None, train_general, val_general, out / "stage3")
-for h in r3.history:
-    print(f"  epoch {h['epoch']}: lr {h['lr']:.2e} "
-          f"train {h['train_loss']:7.3f} val {h['val_loss']:7.3f}")
-
-print("\nevaluating the stage-3 checkpoint on the validation clips "
+print("\nevaluating the trained checkpoint on the validation clips "
       "(full length, no truncation):")
-reports = evaluate(r3.best_checkpoint, val_general, out / "eval")
+reports = evaluate(r2.best_checkpoint, val_general, out / "eval")
 print("== model")
 print(reports["model"].kind_table_text())
 print("== unprocessed mixture")

@@ -6,7 +6,7 @@ visual-cued DPRNN extraction network, and a training/evaluation harness.
 """
 
 from .dsp import AudioClip, energy
-from .losses import LossWeights, loss_differentiated, loss_energy, loss_sdr, loss_uniform
+from .losses import LossWeights, loss_differentiated
 from .metrics import eval_report, power_db_per_s, si_sdr
 from .mixsim import (MixtureRecord, MixtureSpec, SimConfig, apply_occlusion,
                      corpus_stats, iter_overlapped_corpus, simulate_general)

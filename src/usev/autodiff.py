@@ -90,9 +90,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __getitem__(self, key):
-        return slice_(self, key)
-
     def sum(self, axis=None, keepdims=False):
         return ssum(self, axis=axis, keepdims=keepdims)
 
@@ -259,18 +256,6 @@ def transpose(a, axes=None) -> Tensor:
         _acc(a, g.transpose(inverse))
 
     return _node(a.data.transpose(axes), (a,), bwd, "transpose")
-
-
-def slice_(a, key) -> Tensor:
-    """Basic indexing (ints/slices); gradients scatter back into place."""
-    a = _coerce(a)
-
-    def bwd(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[key] += g
-
-    return _node(a.data[key], (a,), bwd, "slice")
 
 
 def index_select(a, axis: int, indices) -> Tensor:
@@ -602,16 +587,15 @@ def no_grad(tensors):
 
 # -- optimization -------------------------------------------------------------------------
 
-class Adam:
-    """Adam with bias correction; beta/eps defaults are the usual ones."""
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+
+class Adam:
+    """Adam with bias correction and the usual beta and eps constants."""
+
+    def __init__(self, params, lr: float):
         self.params = [p for p in params if p.requires_grad]
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -622,7 +606,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _ADAM_BETA1, _ADAM_BETA2
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
@@ -633,4 +617,4 @@ class Adam:
             v += (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1 ** self.t)
             v_hat = v / (1.0 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)

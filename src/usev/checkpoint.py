@@ -1,8 +1,8 @@
 """Flat binary checkpoints: named tensors plus a JSON metadata header.
 
 Layout (little-endian): magic, format version, metadata JSON (carries the
-model config so stage-3 training can shape-check against a stage-2
-checkpoint before loading), then per tensor: name, dtype code, shape,
+model config so training from an `init_checkpoint` can shape-check against
+it before loading), then per tensor: name, dtype code, shape,
 payload. Every payload is float64, dtype code 1; the reader rejects any
 other code, including the float32 code 0 of older writers.
 """

@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--manifest", required=True)
     s.set_defaults(fn=cmd_stats)
 
-    s = sub.add_parser("train", help="train one stage")
+    s = sub.add_parser("train", help="train one model (one curriculum run)")
     s.add_argument("--config", default=None)
     s.add_argument("--train-manifest", required=True)
     s.add_argument("--val-manifest", required=True)

@@ -1,11 +1,12 @@
 """Training and evaluation orchestration.
 
-Stage 2 pre-trains on highly overlapped clips with the SDR loss; stage 3
-trains on general mixtures with the differentiated loss, optionally starting
-from a stage-2 checkpoint (configs are locked together in the checkpoint
-header, so shape mismatches fail before training starts). The learning rate
-decays multiplicatively per epoch and early stopping watches the validation
-loss.
+The paper's curriculum is two `train` runs that differ in `loss` and
+`init_checkpoint`: pre-training on highly overlapped clips with
+`loss = "sdr"`, then training on general mixtures with
+`loss = "differentiated"` from the pre-trained checkpoint (configs are
+locked together in the checkpoint header, so shape mismatches fail before
+training starts). The learning rate decays multiplicatively per epoch and
+early stopping watches the validation loss.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .metrics import ReportTables, eval_report, write_report
 from .model import UsevConfig, UsevNet
 from .scenario import crop_track
 
-STAGES = ("pretrain_overlapped", "train_general")
 LOSSES = ("uniform", "differentiated", "sdr")
 
 # Default sweep grid over loss-weight tuples; includes the default tuple.
@@ -41,7 +41,6 @@ DEFAULT_WEIGHT_GRID = (
 
 @dataclass
 class TrainConfig:
-    stage: str = "train_general"
     lr0: float = 0.001
     lr_decay_per_epoch: float = 0.98
     max_epochs: int = 30
@@ -54,8 +53,6 @@ class TrainConfig:
     init_checkpoint: str | None = None
 
     def __post_init__(self):
-        if self.stage not in STAGES:
-            raise ValueError(f"stage must be one of {STAGES}, got {self.stage!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if not 0.0 < self.lr_decay_per_epoch <= 1.0:
@@ -167,7 +164,7 @@ def train_step(cfg: TrainConfig, model: UsevNet, opt, crops, epoch: int,
 
 def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
           out_dir) -> TrainResult:
-    """Run one training stage; returns the best checkpoint and the logs."""
+    """Train one model; returns the best checkpoint and the logs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_records = _load_records(train_data)
@@ -234,8 +231,7 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
                 best_epoch = epoch
                 since_best = 0
                 save_model(best_path, model,
-                           extra_meta={"stage": cfg.stage, "epoch": epoch,
-                                       "val_loss": val_loss})
+                           extra_meta={"epoch": epoch, "val_loss": val_loss})
             else:
                 since_best += 1
                 if since_best >= cfg.patience:
@@ -245,7 +241,7 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
         loss_f.close()
 
     if best_epoch < 0:
-        save_model(best_path, model, extra_meta={"stage": cfg.stage, "epoch": -1})
+        save_model(best_path, model, extra_meta={"epoch": -1})
     return TrainResult(best_path, log_path, loss_log_path, history,
                        best_val, model)
 

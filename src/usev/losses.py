@@ -1,9 +1,10 @@
 """Training objectives over scenario-labeled clips.
 
 Each formula is written once, as a graph builder over autodiff Tensors
-(`tensor_loss_*`, used for training). The float functions (`loss_*`, used
-for validation and evaluation) evaluate the same builders on a constant
-Tensor, which folds every op to a constant and builds no graph. The
+(`tensor_loss_*`). Training builds them over the model output; validation
+builds them under `autodiff.no_grad`, where every op folds to a constant.
+`loss_differentiated` evaluates the differentiated builder on plain arrays,
+after checking that estimate, reference and track agree in length. The
 per-kind losses only ever see sums of squares, so samples of one kind are
 combined with 0/1 masks; concatenation order cannot matter.
 """
@@ -49,22 +50,6 @@ def _pair(est, ref) -> tuple[np.ndarray, np.ndarray]:
     if e.shape != r.shape:
         raise ValueError(f"length mismatch: est {e.shape} vs ref {r.shape}")
     return e, r
-
-
-# -- float values: the graph builders below, evaluated on constants -------------
-
-def loss_uniform(est, ref) -> float:
-    e, r = _pair(est, ref)
-    return tensor_loss_uniform(ad.Tensor(e), r).item()
-
-
-def loss_sdr(est, ref) -> float:
-    e, r = _pair(est, ref)
-    return tensor_loss_sdr(ad.Tensor(e), r).item()
-
-
-def loss_energy(est) -> float:
-    return tensor_loss_energy(ad.Tensor(_samples(est))).item()
 
 
 def loss_differentiated(est, ref, track: ScenarioTrack,

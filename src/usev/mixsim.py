@@ -25,7 +25,7 @@ from . import audio_io
 from .dsp import AudioClip, snr_gain
 from .scenario import (BUCKET_BOUNDS, BUCKETS, KINDS, ScenarioTrack,
                        clip_bucket, label_scenarios)
-from .synth import UtteranceBank, colored_noise
+from .synth import MIN_UTTERANCE_S, UtteranceBank, colored_noise
 
 # Default target-present bucket mix; conversational corpora skew toward
 # higher overlap, so the upper buckets carry more weight.
@@ -35,6 +35,7 @@ _DEFAULT_BUCKET_WEIGHTS = {
 }
 
 _VISEME_MAGIC = b"VISM"
+_MAX_TRIES = 40  # planner draws per clip before the nearest bucket is kept
 
 
 @dataclass
@@ -45,25 +46,22 @@ class SimConfig:
     n_speakers: int = 10
     n_utterances: int = 40
     utterance_s: tuple = (6.5, 9.5)
-    min_utterance_s: float = 3.0
-    speech_span_s: tuple = (0.5, 1.8)
     clip_s: tuple = (4.0, 6.0)
     ta_prob: float = 0.05
     snr_db: tuple = (-10.0, 10.0)
     noisy: bool = False
     noise_snr_db: tuple = (-5.0, 15.0)
     ta_reference_rms: float = 0.1
-    utterance_rms: float = 0.1
     bucket_weights: dict = field(default_factory=lambda: dict(_DEFAULT_BUCKET_WEIGHTS))
-    max_tries: int = 40
 
     def __post_init__(self):
         if self.sample_rate % self.viseme_fps:
             raise ValueError("sample_rate must be a multiple of viseme_fps")
         if self.utterance_s[0] < self.clip_s[1]:
             raise ValueError("utterances must be at least as long as the longest clip")
-        if self.utterance_s[0] < self.min_utterance_s:
-            raise ValueError("utterance_s below min_utterance_s")
+        if self.utterance_s[0] < MIN_UTTERANCE_S:
+            raise ValueError(f"utterance_s must start at or above "
+                             f"{MIN_UTTERANCE_S} s")
         if not 0.0 <= self.ta_prob <= 1.0:
             raise ValueError("ta_prob must lie in [0, 1]")
         for name, w in self.bucket_weights.items():
@@ -332,7 +330,7 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
     if target_absent:
         n_interf = int(rng.integers(1, 3))
         sources, crops, offsets, snrs, speakers = [], [], [], [], []
-        for _ in range(cfg.max_tries):
+        for _ in range(_MAX_TRIES):
             idx = _pick_utterance(rng, bank, clip_len, exclude_speakers=speakers)
             if idx is None:
                 break
@@ -360,7 +358,7 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
     n_interf = 1 if desired in ("0%", "(80,100]%") else int(rng.integers(1, 3))
 
     best = None
-    for _ in range(cfg.max_tries):
+    for _ in range(_MAX_TRIES):
         t_idx = _pick_utterance(rng, bank, clip_len, prefer=prefer)
         if t_idx is None:
             raise ValueError("no utterance long enough for the requested clip")
@@ -517,10 +515,10 @@ def record_row(record: MixtureRecord, mixture_path: str, target_path: str,
         "sample_rate": record.mixture.sample_rate,
         "clip_len": len(record.mixture),
         "track": record.track.to_triples(),
-        "snr_db": list(spec.snr_db) if spec else [],
-        "noise_snr_db": spec.noise_snr_db if spec else None,
-        "target_absent": spec.target_absent if spec else False,
-        "seed": spec.seed if spec else None,
+        "snr_db": list(spec.snr_db),
+        "noise_snr_db": spec.noise_snr_db,
+        "target_absent": spec.target_absent,
+        "seed": spec.seed,
         "occlusion_spans": [list(s) for s in record.occlusion_spans],
         "effective_visual_ratio": record.effective_visual_ratio,
     }

@@ -19,6 +19,9 @@ from .dsp import AudioClip
 _N_PHONEMES = 20
 _PHONEME_S = (0.08, 0.25)
 _RAMP_S = 0.02
+_SPEECH_SPAN_S = (0.5, 1.8)  # length range of one speech or quiet run
+_UTTERANCE_RMS = 0.1  # over the active samples
+MIN_UTTERANCE_S = 3.0  # SimConfig.utterance_s may not start below it
 _HARMONIC_DECAY = 0.6 ** np.arange(4)
 
 # Fixed viseme projection of (envelope, phoneme) pairs; positive entries so
@@ -26,9 +29,9 @@ _HARMONIC_DECAY = 0.6 ** np.arange(4)
 _BASIS_SEED = 271828
 
 
-def viseme_basis(dim: int, n_phonemes: int = _N_PHONEMES) -> np.ndarray:
+def viseme_basis(dim: int) -> np.ndarray:
     rng = np.random.default_rng(_BASIS_SEED)
-    return rng.uniform(0.3, 1.0, size=(n_phonemes, dim))
+    return rng.uniform(0.3, 1.0, size=(_N_PHONEMES, dim))
 
 
 def speaker_f0(speaker: int, n_speakers: int) -> float:
@@ -93,13 +96,13 @@ def gen_utterance(seed, duration_s: float, cfg, duty: float,
     """Synthesize one utterance; bit-identical for identical arguments.
 
     duty is the target fraction of active samples; duty >= 1 makes the whole
-    utterance active. cfg needs: sample_rate, viseme_fps, visual_dim,
-    n_speakers, min_utterance_s, speech_span_s, utterance_rms.
+    utterance active. cfg needs: sample_rate, viseme_fps, visual_dim and
+    n_speakers.
     """
-    if duration_s < cfg.min_utterance_s:
+    if duration_s < MIN_UTTERANCE_S:
         raise ValueError(
             f"utterance of {duration_s:.2f}s is below the minimum "
-            f"{cfg.min_utterance_s:.2f}s")
+            f"{MIN_UTTERANCE_S:.2f}s")
     rng = np.random.default_rng(seed)
     sr = cfg.sample_rate
     n = int(round(duration_s * sr))
@@ -108,7 +111,7 @@ def gen_utterance(seed, duration_s: float, cfg, duty: float,
     if duty >= 1.0:
         activity = np.ones(n, dtype=bool)
     else:
-        activity = _activity_pattern(rng, n, sr, duty, cfg.speech_span_s)
+        activity = _activity_pattern(rng, n, sr, duty, _SPEECH_SPAN_S)
 
     audio = np.zeros(n)
     phoneme = np.full(n, -1, dtype=np.int32)
@@ -151,7 +154,7 @@ def gen_utterance(seed, duration_s: float, cfg, duty: float,
     # Every activity pattern starts with speech, so the mean is defined.
     rms = np.sqrt(np.mean(audio[activity] ** 2))
     if rms > 0:
-        audio *= cfg.utterance_rms / rms
+        audio *= _UTTERANCE_RMS / rms
     audio[~activity] = 0.0
 
     # ceil(duration_s * fps) computed exactly on sample counts
@@ -204,7 +207,7 @@ class UtteranceBank:
             duration = float(rng.uniform(*self.cfg.utterance_s))
             # Snap to the viseme-frame grid so crops stay frame-aligned.
             frame_s = 1.0 / self.cfg.viseme_fps
-            duration = max(self.cfg.min_utterance_s,
+            duration = max(MIN_UTTERANCE_S,
                            round(duration / frame_s) * frame_s)
             duty = 1.0 if self.fully_active else float(rng.uniform(0.35, 0.95))
             self._cache[i] = gen_utterance(

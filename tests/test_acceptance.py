@@ -17,8 +17,8 @@ from usev.dsp import add_frames, gather_frames, measure_snr_db
 from usev.gradcheck import MODEL_TOL, OP_CHECKS, OP_TOL, run_gradcheck
 from usev.harness import TrainConfig, learning_rate, train_step
 from usev.losses import (EPS as LOSS_EPS, LossWeights, loss_differentiated,
-                         loss_energy, loss_sdr, loss_uniform,
-                         tensor_loss_differentiated)
+                         tensor_loss_differentiated, tensor_loss_energy,
+                         tensor_loss_sdr, tensor_loss_uniform)
 from usev.metrics import EPS as METRIC_EPS
 from usev.metrics import eval_report, power_db_per_s, si_sdr
 from usev.mixsim import (SimConfig, apply_occlusion, corpus_stats, iter_corpus,
@@ -108,11 +108,12 @@ def test_criterion_1_oracle_equivalence():
         ref = np.where(_span_mask(rng, n), rng.standard_normal(n), 0.0)
         est = rng.standard_normal(n)
         want = _oracle_all(est, ref, sr)
+        e = ad.Tensor(est)
         worst = max(
             worst,
-            _rel(loss_uniform(est, ref), want["uniform"]),
-            _rel(loss_sdr(est, ref), want["sdr"]),
-            _rel(loss_energy(est), want["energy"]),
+            _rel(tensor_loss_uniform(e, ref).item(), want["uniform"]),
+            _rel(tensor_loss_sdr(e, ref).item(), want["sdr"]),
+            _rel(tensor_loss_energy(e).item(), want["energy"]),
             _rel(si_sdr(est, ref), want["si_sdr"]),
             _rel(power_db_per_s(est, sr), want["power"]),
         )

@@ -509,7 +509,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(7)
         tensors = {"a.w": rng.standard_normal((3, 4)),
                    "b.bias": rng.standard_normal(5)}
-        meta = {"stage": "pretrain_overlapped", "model_config": {"chunk": 16}}
+        meta = {"epoch": 2, "model_config": {"chunk": 16}}
         save_checkpoint(tmp_path / "m.ckpt", tensors, meta)
         back, meta2 = load_checkpoint(tmp_path / "m.ckpt")
         assert meta2 == meta

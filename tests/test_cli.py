@@ -157,6 +157,17 @@ SIM_OK = "clip_s = 1.0,1.4\nutterance_s = 3.0,4.0\n"
     ("train", "kernel_len = 41\n", "encoder kernel_len must be even and positive"),
     ("simulate", "clip_s = 9.0,9.5\nutterance_s = 3.0,4.0\n",
      "utterances must be at least as long as the longest clip"),
+    ("simulate", "clip_s = 1.0,1.4\nutterance_s = 2.0,4.0\n",
+     "utterance_s must start at or above 3.0 s"),
+    ("train", "stage = train_general\n", "line 1: unknown config key 'stage'"),
+    ("simulate", SIM_OK + "max_tries = 40\n",
+     "line 3: unknown config key 'max_tries'"),
+    ("simulate", SIM_OK + "utterance_rms = 0.1\n",
+     "line 3: unknown config key 'utterance_rms'"),
+    ("simulate", SIM_OK + "min_utterance_s = 3.0\n",
+     "line 3: unknown config key 'min_utterance_s'"),
+    ("simulate", SIM_OK + "speech_span_s = 0.5,1.8\n",
+     "line 3: unknown config key 'speech_span_s'"),
 ])
 def test_malformed_config_gives_param_exit_code(tmp_path, capsys, command,
                                                 text, message):

@@ -36,8 +36,6 @@ class TestTrainConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrainConfig(stage="bogus")
-        with pytest.raises(ValueError):
             TrainConfig(lr_decay_per_epoch=0.0)
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
@@ -82,12 +80,11 @@ class TestTrainLoop:
 
     def test_stage3_resumes_from_stage2_checkpoint(self, tiny_records,
                                                    tmp_path):
-        stage2 = TrainConfig(stage="pretrain_overlapped", lr0=0.001,
-                             max_epochs=1, batch_size=2, clip_truncate_s=0.5,
-                             loss="sdr", seed=4)
+        stage2 = TrainConfig(lr0=0.001, max_epochs=1, batch_size=2,
+                             clip_truncate_s=0.5, loss="sdr", seed=4)
         r2 = train(stage2, TINY_MODEL, tiny_records, tiny_records,
                    tmp_path / "s2")
-        stage3 = TrainConfig(stage="train_general", lr0=0.0001, max_epochs=1,
+        stage3 = TrainConfig(lr0=0.0001, max_epochs=1,
                              batch_size=2, clip_truncate_s=0.5,
                              loss="differentiated", seed=5,
                              init_checkpoint=str(r2.best_checkpoint))
@@ -173,9 +170,9 @@ class TestTrainLoop:
 class TestSaveLoadModel:
     def test_round_trip(self, tmp_path):
         net = UsevNet(TINY_MODEL, seed=7)
-        save_model(tmp_path / "m.ckpt", net, extra_meta={"stage": "x"})
+        save_model(tmp_path / "m.ckpt", net, extra_meta={"epoch": 3})
         back, meta = load_model(tmp_path / "m.ckpt")
-        assert meta["stage"] == "x"
+        assert meta["epoch"] == 3
         assert back.cfg == TINY_MODEL
         for k, v in net.state_dict().items():
             np.testing.assert_array_equal(back.state_dict()[k], v)

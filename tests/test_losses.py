@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from usev import autodiff as ad
-from usev.losses import (EPS, LossWeights, loss_differentiated, loss_energy,
-                         loss_sdr, loss_uniform, tensor_loss_differentiated,
-                         tensor_loss_energy, tensor_loss_sdr,
-                         tensor_loss_uniform)
+from usev.losses import (EPS, LossWeights, loss_differentiated,
+                         tensor_loss_differentiated, tensor_loss_energy,
+                         tensor_loss_sdr, tensor_loss_uniform)
 from usev.scenario import label_scenarios
 
 
@@ -55,43 +54,47 @@ def rel_close(a, b, tol=1e-12):
 
 class TestClosedForms:
     def test_uniform_all_zero(self):
-        assert loss_uniform(np.zeros(10), np.zeros(10)) == 0.0
+        assert tensor_loss_uniform(ad.Tensor(np.zeros(10)), np.zeros(10)).item() == 0.0
 
     def test_uniform_eps_numerator(self):
         est = np.zeros(4)
         est[0] = 1e-4  # ||est||^2 = 1e-8
-        got = loss_uniform(est, np.zeros(4))
+        got = tensor_loss_uniform(ad.Tensor(est), np.zeros(4)).item()
         assert got == pytest.approx(-10 * math.log10(0.5), abs=1e-9)
         assert got == pytest.approx(3.0103, abs=1e-4)
 
     def test_sdr_perfect(self):
         ref = np.zeros(16)
         ref[0] = 1.0
-        got = loss_sdr(ref.copy(), ref)
+        got = tensor_loss_sdr(ad.Tensor(ref.copy()), ref).item()
         assert got == pytest.approx(-10 * math.log10(1e8 + 1e-8), abs=1e-9)
         assert got == pytest.approx(-80.0, abs=1e-6)
 
     def test_sdr_silent_estimate(self):
         ref = np.zeros(16)
         ref[0] = 1.0
-        got = loss_sdr(np.zeros(16), ref)
+        got = tensor_loss_sdr(ad.Tensor(np.zeros(16)), ref).item()
         assert got == pytest.approx(-10 * math.log10(1 / (1 + 1e-8) + 1e-8),
                                     abs=1e-12)
         assert abs(got) < 1e-6
 
     def test_energy_silence(self):
-        assert loss_energy(np.zeros(100)) == pytest.approx(-80.0, abs=1e-12)
+        assert tensor_loss_energy(ad.Tensor(np.zeros(100))).item() == pytest.approx(
+            -80.0, abs=1e-12)
 
     def test_energy_unit(self):
         x = np.zeros(5)
         x[2] = 1.0
-        assert loss_energy(x) == pytest.approx(0.0, abs=1e-7)
+        assert tensor_loss_energy(ad.Tensor(x)).item() == pytest.approx(0.0, abs=1e-7)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            loss_uniform(np.zeros(3), np.zeros(4))
+            tensor_loss_uniform(ad.Tensor(np.zeros(3)), np.zeros(4))
         with pytest.raises(ValueError):
-            loss_sdr(np.zeros(3), np.zeros(4))
+            tensor_loss_sdr(ad.Tensor(np.zeros(3)), np.zeros(4))
+        track = label_scenarios(np.ones(4, bool), np.zeros(4, bool))
+        with pytest.raises(ValueError, match="length mismatch"):
+            loss_differentiated(np.ones(3), np.ones(4), track)
 
 
 class TestOracleEquivalence:
@@ -101,9 +104,10 @@ class TestOracleEquivalence:
             n = int(rng.integers(50, 2000))
             est = rng.standard_normal(n)
             ref = rng.standard_normal(n)
-            assert rel_close(loss_uniform(est, ref), oracle_uniform(est, ref))
-            assert rel_close(loss_sdr(est, ref), oracle_sdr(est, ref))
-            assert rel_close(loss_energy(est), oracle_energy(est))
+            e = ad.Tensor(est)
+            assert rel_close(tensor_loss_uniform(e, ref).item(), oracle_uniform(est, ref))
+            assert rel_close(tensor_loss_sdr(e, ref).item(), oracle_sdr(est, ref))
+            assert rel_close(tensor_loss_energy(e).item(), oracle_energy(est))
 
     def test_differentiated_slicing_oracle(self):
         rng = np.random.default_rng(1)
@@ -130,7 +134,7 @@ class TestDifferentiated:
         est, ref = rng.standard_normal(n), rng.standard_normal(n)
         w = LossWeights(0.5, 2.0, 3.0, 0.25)
         assert loss_differentiated(est, ref, track, w) == pytest.approx(
-            3.0 * loss_sdr(est, ref), rel=1e-12)
+            3.0 * tensor_loss_sdr(ad.Tensor(est), ref).item(), rel=1e-12)
 
     def test_all_qq_silent_estimate(self):
         n = 256
@@ -146,7 +150,7 @@ class TestDifferentiated:
         ref = np.ones(n)
         w = LossWeights(0.005, 1.0, 1.0, 0.005)
         assert loss_differentiated(est, ref, track, w) == pytest.approx(
-            loss_sdr(est, ref), rel=1e-12)
+            tensor_loss_sdr(ad.Tensor(est), ref).item(), rel=1e-12)
 
     def test_zero_energy_reference_on_speech_segment_raises(self):
         n = 50
@@ -167,7 +171,7 @@ class TestDifferentiated:
         noise = rng.standard_normal(300)
         last = None
         for a in (1.0, 0.5, 0.25, 0.1, 0.01):
-            val = loss_sdr(ref + a * noise, ref)
+            val = tensor_loss_sdr(ad.Tensor(ref + a * noise), ref).item()
             if last is not None:
                 assert val < last
             last = val
@@ -206,10 +210,12 @@ class TestTensorRoute:
             ref = np.where(t, rng.standard_normal(n), 0.0)
             est_np = rng.standard_normal(n)
             est = ad.Tensor(est_np, requires_grad=True)
+            const = ad.Tensor(est_np)
             pairs = [
-                (tensor_loss_uniform(est, ref).item(), loss_uniform(est_np, ref)),
-                (tensor_loss_sdr(est, ref).item(), loss_sdr(est_np, ref)),
-                (tensor_loss_energy(est).item(), loss_energy(est_np)),
+                (tensor_loss_uniform(est, ref).item(),
+                 tensor_loss_uniform(const, ref).item()),
+                (tensor_loss_sdr(est, ref).item(), tensor_loss_sdr(const, ref).item()),
+                (tensor_loss_energy(est).item(), tensor_loss_energy(const).item()),
             ]
             if t.any():
                 pairs.append((

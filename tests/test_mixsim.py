@@ -35,7 +35,7 @@ def reference_utterance(seed, duration_s, cfg, duty, speaker):
     if duty >= 1.0:
         activity = np.ones(n, dtype=bool)
     else:
-        activity = synth._activity_pattern(rng, n, sr, duty, cfg.speech_span_s)
+        activity = synth._activity_pattern(rng, n, sr, duty, (0.5, 1.8))
     audio = np.zeros(n)
     phoneme = np.full(n, -1, dtype=np.int32)
     ramp_n = int(0.02 * sr)
@@ -66,7 +66,7 @@ def reference_utterance(seed, duration_s, cfg, duty, speaker):
             pos += ph_n
     rms = np.sqrt(np.mean(audio[activity] ** 2))
     if rms > 0:
-        audio *= cfg.utterance_rms / rms
+        audio *= 0.1 / rms
     audio[~activity] = 0.0
     spf = sr // cfg.viseme_fps
     basis = synth.viseme_basis(cfg.visual_dim)

@@ -142,8 +142,12 @@ class TestDecode:
         net = UsevNet(DESK, seed=9)
         rng = np.random.default_rng(2)
         emb = ad.Tensor(rng.standard_normal((DESK.encoder_dim, 20)))
-        for out_len in (300, 400, 401, 420, 500):
+        for out_len in (420, 500):
             assert net.decode(emb, out_len).shape == (out_len,)
+        # 20 frames at hop 20 and kernel 40 overlap-add to 420 samples.
+        for out_len in (300, 400, 401):
+            with pytest.raises(ValueError, match=f"420 samples.*{out_len}"):
+                net.decode(emb, out_len)
 
     def test_linearity_with_zero_bias(self):
         net = UsevNet(DESK, seed=10)

@@ -285,21 +285,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
                  tuple(tensors), bwd, "concat")
 
 
-def pad_axis(a, axis: int, before: int, after: int) -> Tensor:
-    """Zero-pad one axis."""
-    a = _coerce(a)
-    widths = [(0, 0)] * a.ndim
-    widths[axis] = (before, after)
-    sl = [slice(None)] * a.ndim
-    sl[axis] = slice(before, before + a.shape[axis])
-    sl = tuple(sl)
-
-    def bwd(g):
-        _acc(a, g[sl])
-
-    return _node(np.pad(a.data, widths), (a,), bwd, "pad")
-
-
 # -- reductions ----------------------------------------------------------------
 
 def ssum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -560,14 +545,23 @@ def _chunk_gather(xp: np.ndarray, chunk: int) -> np.ndarray:
     return np.ascontiguousarray(gather_frames(xp, chunk, chunk // 2).transpose(0, 2, 1))
 
 
-def overlap_add_frames(frames, hop: int) -> Tensor:
-    """Sum frames [T, L] into a waveform [(T-1)*hop + L]; the decoder's OnA."""
+def overlap_add_frames(frames, hop: int, out_len: int) -> Tensor:
+    """Overlap-add the T columns of frames [L, T] at `hop` into a waveform of
+    out_len samples, zero past the (T-1)*hop + L the frames cover; the
+    decoder's OnA. A shorter out_len is an error."""
     frames = _coerce(frames)
+    flen, num = frames.shape
+    n = (num - 1) * hop + flen
+    if n > out_len:
+        raise ValueError(f"decoder overlap-add gives {n} samples, more "
+                         f"than the requested {out_len}")
+    out = np.zeros(out_len)
+    out[:n] = add_frames(frames.data.T, hop)
 
     def bwd(g):
-        _acc(frames, gather_frames(g, frames.shape[1], hop))
+        _acc(frames, gather_frames(g[:n], flen, hop).T)
 
-    return _node(add_frames(frames.data, hop), (frames,), bwd, "overlap_add")
+    return _node(out, (frames,), bwd, "overlap_add")
 
 
 @contextmanager

@@ -19,6 +19,9 @@ from .mixsim import SimConfig
 from .model import UsevConfig
 
 _BUILDERS = (SimConfig, UsevConfig, TrainConfig)
+# Keys only the model knows; a checkpoint's header fixes them instead.
+_MODEL_ONLY = ({f.name for f in dataclasses.fields(UsevConfig)}
+               - {f.name for f in dataclasses.fields(SimConfig)})
 _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
@@ -26,10 +29,11 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 def parse_kv_file(path) -> dict:
     """Parse a config file into {key: value}, each value coerced by the type
     of its builder default and every builder checked on the result. Errors
-    name the file, and the line and the key where one is to blame."""
+    name the file, and the line and the key where one is to blame. A
+    model-only key next to init_checkpoint is an error too."""
     defaults = {f.name: getattr(cls(), f.name)
                 for cls in _BUILDERS for f in dataclasses.fields(cls)}
-    out = {}
+    out, lines = {}, {}
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -48,6 +52,12 @@ def parse_kv_file(path) -> dict:
             except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: config key {key!r}: "
                                  f"{e}") from None
+            lines[key] = lineno
+    clash = [k for k in out if k in _MODEL_ONLY]
+    if out.get("init_checkpoint") and clash:
+        raise ValueError(f"{path}: line {lines[clash[0]]}: model key "
+                         f"{clash[0]!r} next to init_checkpoint, whose "
+                         "checkpoint fixes the model")
     # Cross-field checks live in each builder's __post_init__; run them here,
     # where the file is known.
     for cls in _BUILDERS:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +30,12 @@ from .scenario import crop_track
 
 LOSSES = ("uniform", "differentiated", "sdr")
 
-# Default sweep grid over loss-weight tuples; includes the default tuple.
+# Default sweep grid over loss weights; includes the published tuple.
 DEFAULT_WEIGHT_GRID = (
-    (0.01, 1.0, 1.0, 0.01),
-    (0.01, 0.1, 1.0, 0.01),
-    (0.005, 1.0, 1.0, 0.005),
-    (0.001, 0.1, 1.0, 0.001),
+    LossWeights(0.01, 1.0, 1.0, 0.01),
+    LossWeights(0.01, 0.1, 1.0, 0.01),
+    LossWeights(0.005, 1.0, 1.0, 0.005),
+    LossWeights(0.001, 0.1, 1.0, 0.001),
 )
 
 
@@ -300,26 +300,17 @@ def evaluate(model_or_checkpoint, test_data, out_dir,
     return reports
 
 
-def _grid_weights(i: int, tup) -> LossWeights:
-    """Grid entry i as LossWeights: exactly 4 finite numbers >= 0, the rule
-    config.parse_weights applies to a --grid tuple."""
-    if isinstance(tup, LossWeights):
-        return tup
-    n = len(fields(LossWeights))
-    try:
-        if len(tup) != n:
-            raise ValueError(f"expected {n} numbers")
-        return LossWeights(*tup)
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"weight grid entry {i} {tup!r}: {e}") from None
-
-
 def sweep_weights(base_cfg: TrainConfig, model_cfg: UsevConfig, weight_grid,
                   train_data, val_data, out_dir) -> list[dict]:
-    """Train and evaluate one system per weight tuple; emit a comparison."""
-    weight_grid = [_grid_weights(i, tup) for i, tup in enumerate(weight_grid)]
+    """Train one system per LossWeights entry, score its best.ckpt with
+    `evaluate` (no mixture baseline) and emit a comparison."""
+    weight_grid = list(weight_grid)
     if not weight_grid:
         raise ValueError("weight grid is empty")
+    for i, weights in enumerate(weight_grid):
+        if not isinstance(weights, LossWeights):
+            raise ValueError(f"weight grid entry {i} {weights!r}: expected "
+                             "LossWeights")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_records = _load_records(train_data)
@@ -329,7 +320,8 @@ def sweep_weights(base_cfg: TrainConfig, model_cfg: UsevConfig, weight_grid,
         cfg = replace(base_cfg, weights=weights, loss="differentiated")
         result = train(cfg, model_cfg, train_records, val_records,
                        out / f"system{i}")
-        report = eval_report(extraction_pairs(result.model, val_records))
+        report = evaluate(result.best_checkpoint, val_records,
+                          out / f"system{i}", mixture_baseline=False)["model"]
         row = {"weights": (weights.alpha, weights.beta, weights.gamma,
                            weights.delta)}
         for kind in ("QQ", "SQ", "SS", "QS"):

@@ -10,12 +10,13 @@ effective-visual-cue breakdown.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .dsp import _samples
-from .scenario import BUCKETS, KINDS, TARGET_SPEAKS, classify_clip, clip_bucket
+from .scenario import BUCKETS, KINDS, TARGET_SPEAKS, clip_bucket
 
 EPS = 1e-8
 
@@ -53,55 +54,59 @@ class EvalRecord:
     """Per-clip evaluation: whole-clip metric plus per-kind metrics."""
 
     clip_id: str
-    clip_class: str  # TA | TP
-    bucket: str
+    bucket: str  # clip_bucket: "TA" or the TP overlap bucket
     clip_metric: float  # SI-SDR for TP clips, power for TA clips
     kind_metrics: dict[str, float]  # per present kind, SI-SDR or power
     effective_visual_ratio: float
 
+    @property
+    def clip_class(self) -> str:
+        return "TA" if self.bucket == "TA" else "TP"
+
 
 @dataclass
 class ReportTables:
+    """Every report view. The two tables are dicts in display order, which
+    both the text and the CSV renderings iterate."""
+
     records: list[EvalRecord]
-    # Whole-clip view: power over TA clips, SI-SDR per overlap bucket over TP.
-    ta_power: float | None
-    bucket_si_sdr: dict[str, float]
-    bucket_counts: dict[str, int]
-    overall_si_sdr: float | None
+    # Whole-clip view: "TA" (power over TA clips), each TP bucket present
+    # (SI-SDR), then "average" (SI-SDR over all TP clips).
+    clip_means: dict[str, float]
+    clip_counts: dict[str, int]
     # Per-kind view: means over clips containing the kind.
     kind_means: dict[str, float]
     kind_counts: dict[str, int]
-    # Power histogram per kind: (bin_edges, counts).
-    power_hist: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    # Power histogram per kind: counts in the POWER_BIN_EDGES bins.
+    power_hist: dict[str, np.ndarray]
     # Occlusion view: per 5% visual-cue bin, per-kind means and clip count.
-    visual_bins: list[dict] = field(default_factory=list)
+    visual_bins: list[dict]
 
     def clip_table_text(self) -> str:
         lines = [f"{'bucket':>10} {'n':>6} {'SI-SDR':>9}"]
-        if self.ta_power is not None:
-            lines.append(f"{'TA':>10} {self.bucket_counts.get('TA', 0):>6} "
-                         f"{self.ta_power:>9.2f} (power dB/s)")
-        for b in BUCKETS[1:]:
-            if b in self.bucket_si_sdr:
-                lines.append(f"{b:>10} {self.bucket_counts[b]:>6} "
-                             f"{self.bucket_si_sdr[b]:>9.2f}")
-        if self.overall_si_sdr is not None:
-            lines.append(f"{'average':>10} {sum(self.bucket_counts.get(b, 0) for b in BUCKETS[1:]):>6} "
-                         f"{self.overall_si_sdr:>9.2f}")
+        for b, m in self.clip_means.items():
+            lines.append(f"{b:>10} {self.clip_counts[b]:>6} {m:>9.2f}"
+                         + (" (power dB/s)" if b == "TA" else ""))
         return "\n".join(lines)
 
     def kind_table_text(self) -> str:
         lines = [f"{'kind':>6} {'n':>6} {'metric':>9}"]
-        for k in KINDS:
-            if k in self.kind_means:
-                unit = "SI-SDR dB" if k in TARGET_SPEAKS else "power dB/s"
-                lines.append(f"{k:>6} {self.kind_counts[k]:>6} "
-                             f"{self.kind_means[k]:>9.2f} ({unit})")
+        for k, m in self.kind_means.items():
+            unit = "SI-SDR dB" if k in TARGET_SPEAKS else "power dB/s"
+            lines.append(f"{k:>6} {self.kind_counts[k]:>6} {m:>9.2f} ({unit})")
         return "\n".join(lines)
 
 
-def _mean(vals: list[float]) -> float | None:
-    return float(np.mean(vals)) if vals else None
+def _means(groups: dict[str, list[float]]):
+    """({key: mean}, {key: count}) over the non-empty groups, in key order."""
+    kept = {k: v for k, v in groups.items() if v}
+    return ({k: float(np.mean(v)) for k, v in kept.items()},
+            {k: len(v) for k, v in kept.items()})
+
+
+def _kind_means(records: list[EvalRecord]):
+    return _means({k: [r.kind_metrics[k] for r in records if k in r.kind_metrics]
+                   for k in KINDS})
 
 
 def eval_report(pairs) -> ReportTables:
@@ -122,9 +127,8 @@ def eval_report(pairs) -> ReportTables:
                 f"match target {ref_s.shape}")
         sr = rec.mixture.sample_rate
         track = rec.track
-        clip_class = classify_clip(track)
         bucket = clip_bucket(track)
-        if clip_class == "TA":
+        if bucket == "TA":
             clip_metric = power_db_per_s(est_s, sr)
         else:
             clip_metric = si_sdr(est_s, ref_s)
@@ -139,109 +143,70 @@ def eval_report(pairs) -> ReportTables:
             kind_metrics[kind] = (si_sdr(est_s[mask], ref_s[mask])
                                   if kind in TARGET_SPEAKS else power)
         records.append(EvalRecord(
-            clip_id=rec.clip_id, clip_class=clip_class, bucket=bucket,
-            clip_metric=clip_metric, kind_metrics=kind_metrics,
+            clip_id=rec.clip_id, bucket=bucket, clip_metric=clip_metric,
+            kind_metrics=kind_metrics,
             effective_visual_ratio=rec.effective_visual_ratio))
 
-    ta_vals = [r.clip_metric for r in records if r.clip_class == "TA"]
-    bucket_vals: dict[str, list[float]] = {}
+    clip_vals: dict[str, list[float]] = {b: [] for b in BUCKETS}
     for r in records:
-        if r.clip_class == "TP":
-            bucket_vals.setdefault(r.bucket, []).append(r.clip_metric)
-    tp_vals = [r.clip_metric for r in records if r.clip_class == "TP"]
+        clip_vals[r.bucket].append(r.clip_metric)
+    clip_vals["average"] = [r.clip_metric for r in records if r.bucket != "TA"]
+    clip_means, clip_counts = _means(clip_vals)
+    kind_means, kind_counts = _kind_means(records)
 
-    kind_means = {}
-    kind_counts = {}
-    for k in KINDS:
-        vals = [r.kind_metrics[k] for r in records if k in r.kind_metrics]
-        if vals:
-            kind_means[k] = float(np.mean(vals))
-            kind_counts[k] = len(vals)
-
-    hist = {}
-    for k in KINDS:
-        counts, edges = np.histogram(kind_powers[k], bins=POWER_BIN_EDGES)
-        hist[k] = (edges, counts)
-
+    # Bin i holds ratios in (edge i, edge i+1]; bin 0 also holds 0.
+    members: list[list[EvalRecord]] = [[] for _ in VISUAL_BIN_EDGES[1:]]
+    bins = np.searchsorted(VISUAL_BIN_EDGES[1:],
+                           [r.effective_visual_ratio for r in records])
+    for r, b in zip(records, bins):
+        members[b].append(r)
     visual_bins = []
-    for i in range(len(VISUAL_BIN_EDGES) - 1):
-        lo, hi = VISUAL_BIN_EDGES[i], VISUAL_BIN_EDGES[i + 1]
-        if i == 0:
-            members = [r for r in records if lo <= r.effective_visual_ratio <= hi]
-        else:
-            members = [r for r in records if lo < r.effective_visual_ratio <= hi]
-        entry = {"lo": float(lo), "hi": float(hi), "count": len(members)}
-        for k in KINDS:
-            vals = [r.kind_metrics[k] for r in members if k in r.kind_metrics]
-            if vals:
-                entry[k] = float(np.mean(vals))
-        visual_bins.append(entry)
+    for lo, hi, group in zip(VISUAL_BIN_EDGES[:-1], VISUAL_BIN_EDGES[1:], members):
+        means, _ = _kind_means(group)
+        visual_bins.append({"lo": float(lo), "hi": float(hi),
+                            "count": len(group), **means})
 
-    bucket_counts = {b: len(v) for b, v in bucket_vals.items()}
-    bucket_counts["TA"] = len(ta_vals)
     return ReportTables(
-        records=records,
-        ta_power=_mean(ta_vals),
-        bucket_si_sdr={b: float(np.mean(v)) for b, v in bucket_vals.items()},
-        bucket_counts=bucket_counts,
-        overall_si_sdr=_mean(tp_vals),
-        kind_means=kind_means,
-        kind_counts=kind_counts,
-        power_hist=hist,
-        visual_bins=visual_bins,
-    )
+        records=records, clip_means=clip_means, clip_counts=clip_counts,
+        kind_means=kind_means, kind_counts=kind_counts,
+        power_hist={k: np.histogram(v, bins=POWER_BIN_EDGES)[0]
+                    for k, v in kind_powers.items()},
+        visual_bins=visual_bins)
 
 
 def write_report(report: ReportTables, out_dir) -> None:
     """Emit the text tables plus machine-readable CSVs."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(
         report.clip_table_text() + "\n\n" + report.kind_table_text() + "\n")
-
-    with open(out / "records.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["clip_id", "class", "bucket", "clip_metric",
-                    "effective_visual_ratio"] + [f"{k}_metric" for k in KINDS])
-        for r in report.records:
-            w.writerow([r.clip_id, r.clip_class, r.bucket, repr(r.clip_metric),
-                        r.effective_visual_ratio]
-                       + [repr(r.kind_metrics[k]) if k in r.kind_metrics else ""
-                          for k in KINDS])
-
-    with open(out / "clip_view.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["bucket", "count", "mean_metric"])
-        if report.ta_power is not None:
-            w.writerow(["TA", report.bucket_counts.get("TA", 0), report.ta_power])
-        for b in BUCKETS[1:]:
-            if b in report.bucket_si_sdr:
-                w.writerow([b, report.bucket_counts[b], report.bucket_si_sdr[b]])
-        if report.overall_si_sdr is not None:
-            w.writerow(["average", sum(report.bucket_counts.get(b, 0)
-                                       for b in BUCKETS[1:]), report.overall_si_sdr])
-
-    with open(out / "kind_view.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["kind", "count", "mean_metric", "metric"])
-        for k in KINDS:
-            if k in report.kind_means:
-                metric = "si_sdr" if k in TARGET_SPEAKS else "power"
-                w.writerow([k, report.kind_counts[k], report.kind_means[k], metric])
-
-    with open(out / "power_hist.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["kind", "bin_edge", "count"])
-        for k, (edges, counts) in report.power_hist.items():
-            for e, c in zip(edges[:-1], counts):
-                w.writerow([k, e, c])
-
-    with open(out / "visual_bins.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["lo", "hi", "count"] + list(KINDS))
-        for entry in report.visual_bins:
-            w.writerow([entry["lo"], entry["hi"], entry["count"]]
-                       + [entry.get(k, "") for k in KINDS])
-
+    tables = {
+        "records.csv": (
+            ["clip_id", "class", "bucket", "clip_metric",
+             "effective_visual_ratio"] + [f"{k}_metric" for k in KINDS],
+            [[r.clip_id, r.clip_class, r.bucket, repr(r.clip_metric),
+              r.effective_visual_ratio]
+             + [repr(r.kind_metrics[k]) if k in r.kind_metrics else ""
+                for k in KINDS] for r in report.records]),
+        "clip_view.csv": (
+            ["bucket", "count", "mean_metric"],
+            [[b, report.clip_counts[b], m] for b, m in report.clip_means.items()]),
+        "kind_view.csv": (
+            ["kind", "count", "mean_metric", "metric"],
+            [[k, report.kind_counts[k], m,
+              "si_sdr" if k in TARGET_SPEAKS else "power"]
+             for k, m in report.kind_means.items()]),
+        "power_hist.csv": (
+            ["kind", "bin_edge", "count"],
+            [[k, e, c] for k, counts in report.power_hist.items()
+             for e, c in zip(POWER_BIN_EDGES[:-1], counts)]),
+        "visual_bins.csv": (
+            ["lo", "hi", "count"] + list(KINDS),
+            [[e["lo"], e["hi"], e["count"]] + [e.get(k, "") for k in KINDS]
+             for e in report.visual_bins]),
+    }
+    for name, (header, rows) in tables.items():
+        with open(out / name, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows(rows)

@@ -529,6 +529,25 @@ _ROW_REQUIRED = ("clip_id", "sample_rate", "clip_len", "track",
 _ROW_PATHS = ("mixture_path", "target_path", "visemes_path")
 
 
+# (field, test, what the field must be); occlusion_spans may be absent.
+# json.loads gives exact built-in types, so `type(v) is int` also rules out
+# booleans.
+_ROW_TYPES = (
+    ("clip_id", lambda v: type(v) is str, "a string"),
+    ("sample_rate", lambda v: type(v) is int and v > 0, "a positive integer"),
+    ("clip_len", lambda v: type(v) is int and v > 0, "a positive integer"),
+    ("track", lambda v: type(v) is list and all(
+        type(s) is list and len(s) == 3 and type(s[0]) is int
+        and type(s[1]) is int and s[2] in KINDS for s in v),
+     f"a list of [start, end, kind] with kind in {KINDS}"),
+    ("effective_visual_ratio",
+     lambda v: type(v) in (int, float) and 0.0 <= v <= 1.0, "a number in [0, 1]"),
+    ("occlusion_spans", lambda v: type(v) is list and all(
+        type(s) is list and len(s) == 2 and type(s[0]) is int
+        and type(s[1]) is int for s in v), "a list of [start, end] frame pairs"),
+)
+
+
 def write_manifest(path, rows) -> None:
     with open(path, "w") as f:
         for row in rows:
@@ -545,9 +564,15 @@ def _numbered_rows(path) -> list[tuple[int, dict]]:
                 row = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}: line {lineno}: invalid record: {e}") from e
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}: line {lineno}: expected a JSON object")
             missing = [k for k in _ROW_REQUIRED if k not in row]
             if missing:
                 raise ValueError(f"{path}: line {lineno}: missing fields {missing}")
+            for k, ok, what in _ROW_TYPES:
+                if k in row and not ok(row[k]):
+                    raise ValueError(f"{path}: line {lineno}: field {k!r} "
+                                     f"must be {what}, got {row[k]!r}")
             rows.append((lineno, row))
     return rows
 
@@ -661,11 +686,15 @@ class StatsReport:
 
 def corpus_stats(manifest_path) -> StatsReport:
     """Clip counts per overlap bucket and total per-kind durations in hours."""
-    rows = read_manifest(manifest_path)
+    rows = _numbered_rows(manifest_path)
     counts = {b: 0 for b in BUCKETS}
     kind_samples = {k: 0.0 for k in KINDS}
-    for row in rows:
-        track = ScenarioTrack.from_triples(row["track"], row["clip_len"])
+    for lineno, row in rows:
+        try:
+            track = ScenarioTrack.from_triples(row["track"], row["clip_len"])
+        except ValueError as e:
+            raise ValueError(f"{manifest_path}: line {lineno}: field 'track': "
+                             f"{e}") from None
         counts[clip_bucket(track)] += 1
         sr = row["sample_rate"]
         for kind, samples in track.durations().items():

@@ -260,17 +260,10 @@ class UsevNet:
 
     def decode(self, masked_emb: Tensor, out_len: int) -> Tensor:
         """Embeddings [N, T] -> waveform [out_len] via frame overlap-add,
-        zero-padded at the end. The T frames of an out_len-sample input
+        zero-filled at the end. The T frames of an out_len-sample input
         cover at most out_len samples, so a longer overlap-add is an error."""
         frames = ad.matmul(self.params["dec.w"], masked_emb) + self.params["dec.b"]
-        wave = ad.overlap_add_frames(ad.transpose(frames), self.cfg.hop)
-        n = wave.shape[0]
-        if n > out_len:
-            raise ValueError(f"decoder overlap-add gives {n} samples, more "
-                             f"than the requested {out_len}")
-        if n < out_len:
-            wave = ad.pad_axis(wave, axis=0, before=0, after=out_len - n)
-        return wave
+        return ad.overlap_add_frames(frames, self.cfg.hop, out_len)
 
     def forward(self, samples, viseme_frames) -> Tensor:
         """Extract the target speaker; output length equals input length."""

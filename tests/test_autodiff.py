@@ -189,6 +189,21 @@ class TestOpForwards:
         np.testing.assert_array_equal(taped.data, want)
         assert np.all(taped.data[:, 1] == bias[:, 0])  # zero slice -> bias
 
+    def test_overlap_add_zero_fills_to_out_len(self):
+        # frames [L, T] = [4, 3] at hop 2 cover 8 samples; 3 more are zero
+        # and their gradient never reaches the frames.
+        rng = np.random.default_rng(9)
+        frames = rng.standard_normal((4, 3))
+        out = ad.overlap_add_frames(Tensor(frames), 2, 11).data
+        want = np.zeros(11)
+        for t in range(3):
+            want[2 * t : 2 * t + 4] += frames[:, t]
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-15)
+        proj = rng.standard_normal(11)
+        err = fd_check(lambda t: (ad.overlap_add_frames(t["f"], 2, 11)
+                                  * proj).sum(), {"f": frames})
+        assert err <= OP_TOL
+
     def test_matmul_requires_2d(self):
         with pytest.raises(ValueError):
             ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))

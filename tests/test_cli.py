@@ -168,6 +168,8 @@ SIM_OK = "clip_s = 1.0,1.4\nutterance_s = 3.0,4.0\n"
      "line 3: unknown config key 'min_utterance_s'"),
     ("simulate", SIM_OK + "speech_span_s = 0.5,1.8\n",
      "line 3: unknown config key 'speech_span_s'"),
+    ("train", "lr0 = 0.01\nencoder_dim = 32\ninit_checkpoint = run/best.ckpt\n",
+     "line 2: model key 'encoder_dim' next to init_checkpoint"),
 ])
 def test_malformed_config_gives_param_exit_code(tmp_path, capsys, command,
                                                 text, message):
@@ -218,8 +220,21 @@ def test_malformed_checkpoint_gives_param_exit_code(tmp_path, capsys, damage):
         assert "unknown dtype code 0 for enc.w" in err
 
 
+DELETE = object()  # the field is left out of the row
+
+
 @pytest.mark.parametrize("field,value", [
-    ("mixture_path", None), ("target_path", ""), ("visemes_path", 7)])
+    pytest.param("mixture_path", DELETE, id="mixture_path-None"),
+    ("target_path", ""), ("visemes_path", 7),
+    ("effective_visual_ratio", None), ("effective_visual_ratio", 1.5),
+    ("effective_visual_ratio", -0.1), ("effective_visual_ratio", True),
+    ("track", 5),
+    pytest.param("track", [[0, 10, "XX"]], id="track-bad_kind"),
+    pytest.param("track", [["0", 10, "QQ"]], id="track-text_start"),
+    ("occlusion_spans", 5),
+    pytest.param("occlusion_spans", [[0]], id="occlusion_spans-one_end"),
+    ("clip_len", None), ("clip_len", 0), ("sample_rate", "8000"),
+    ("clip_id", 3)])
 def test_malformed_manifest_gives_param_exit_code(tmp_path, capsys, field,
                                                   value):
     from usev.gradcheck import micro_config
@@ -233,16 +248,20 @@ def test_malformed_manifest_gives_param_exit_code(tmp_path, capsys, field,
             "mixture_path": "m.wav", "target_path": "t.wav",
             "visemes_path": "v.bin"}
     bad = dict(good, clip_id="b")
-    if value is None:
+    if value is DELETE:
         del bad[field]
     else:
         bad[field] = value
     manifest = tmp_path / "man.jsonl"
     manifest.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-    assert run(["evaluate", "--checkpoint", ckpt, "--test-manifest", manifest,
-                "--out", tmp_path / "o"]) == 2
-    err = capsys.readouterr().err
-    assert str(manifest) in err and "line 2" in err and field in err
+    commands = [["evaluate", "--checkpoint", ckpt, "--test-manifest", manifest,
+                 "--out", tmp_path / "o"]]
+    if not field.endswith("_path"):  # stats reads no data file
+        commands.append(["stats", "--manifest", manifest])
+    for args in commands:
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "line 2" in err and field in err
 
 
 def _small_corpus(out, sample_rate=8000, visual_dim=8):

@@ -201,8 +201,8 @@ class TestEvaluate:
         # oracle extractor: output := target truth
         pairs = [(r, r.target_truth) for r in tiny_records]
         report = eval_report(pairs)
-        if report.ta_power is not None:
-            assert report.ta_power == pytest.approx(-80.0, abs=1e-9)
+        if "TA" in report.clip_means:
+            assert report.clip_means["TA"] == pytest.approx(-80.0, abs=1e-9)
         # zero extractor: silent output
         sr = tiny_records[0].mixture.sample_rate
         silent = [(r, AudioClip(np.zeros(len(r.mixture)), sr))
@@ -226,7 +226,7 @@ class TestEvaluate:
         pairs = extraction_pairs(net, tiny_records)
         again = eval_report(pairs)
         assert report.kind_means == again.kind_means
-        assert report.bucket_si_sdr == again.bucket_si_sdr
+        assert report.clip_means == again.clip_means
         assert (tmp_path / "model" / "report.txt").exists()
         assert (tmp_path / "mixture" / "report.txt").exists()
 
@@ -238,9 +238,9 @@ class TestEvaluate:
         with open(tmp_path / "model" / "records.csv") as f:
             rows = list(csv.DictReader(f))
         tp = [float(r["clip_metric"]) for r in rows if r["class"] == "TP"]
-        if report.overall_si_sdr is not None:
-            assert report.overall_si_sdr == pytest.approx(np.mean(tp),
-                                                          rel=1e-12)
+        if "average" in report.clip_means:
+            assert report.clip_means["average"] == pytest.approx(np.mean(tp),
+                                                                 rel=1e-12)
         for kind in ("QQ", "SQ", "SS", "QS"):
             vals = [float(r[f"{kind}_metric"]) for r in rows
                     if r[f"{kind}_metric"]]
@@ -260,29 +260,50 @@ class TestSweep:
     def test_single_tuple_matches_grid_size(self, tiny_records, tmp_path):
         base = TrainConfig(lr0=0.001, max_epochs=1, batch_size=2,
                            clip_truncate_s=0.5, seed=10)
-        rows = sweep_weights(base, TINY_MODEL, [(0.005, 1, 1, 0.005)],
+        rows = sweep_weights(base, TINY_MODEL, [LossWeights(0.005, 1, 1, 0.005)],
                              tiny_records, tiny_records, tmp_path)
         assert len(rows) == 1
         txt = (tmp_path / "sweep.txt").read_text()
         assert len(txt.strip().split("\n")) == 2  # header + one row
 
+    def test_row_scores_best_checkpoint_through_evaluate(self, tiny_records,
+                                                         tmp_path):
+        # Validation loss rises after epoch 0, so best.ckpt holds epoch 0's
+        # weights, not the last epoch's; the row must score best.ckpt.
+        base = TrainConfig(lr0=0.05, max_epochs=3, batch_size=2,
+                           clip_truncate_s=0.5, seed=10)
+        [row] = sweep_weights(base, TINY_MODEL, [LossWeights()], tiny_records,
+                              tiny_records, tmp_path)
+        with open(tmp_path / "system0" / "train_log.jsonl") as f:
+            val = [json.loads(line)["val_loss"] for line in f]
+        assert len(val) == 3 and int(np.argmin(val)) == 0
+        report = evaluate(tmp_path / "system0" / "best.ckpt", tiny_records,
+                          tmp_path / "again", mixture_baseline=False)["model"]
+        assert report.kind_means
+        for kind in ("QQ", "SQ", "SS", "QS"):
+            assert row[kind] == report.kind_means.get(kind)
+
     def test_default_grid_contains_published_tuple(self):
-        assert (0.005, 1.0, 1.0, 0.005) in DEFAULT_WEIGHT_GRID
+        assert LossWeights(0.005, 1.0, 1.0, 0.005) in DEFAULT_WEIGHT_GRID
+        assert all(isinstance(w, LossWeights) for w in DEFAULT_WEIGHT_GRID)
 
     def test_empty_grid_rejected(self, tiny_records, tmp_path):
         with pytest.raises(ValueError):
             sweep_weights(TrainConfig(), TINY_MODEL, [], tiny_records,
                           tiny_records, tmp_path)
 
-
-    @pytest.mark.parametrize("last", [(1, 1, 1), (0.005, 1, 1, 0.005, 1)],
-                             ids=["three", "five"])
+    @pytest.mark.parametrize("last", [(1, 1, 1), (0.005, 1, 1, 0.005, 1),
+                                      (0.005, 1, 1, 0.005)],
+                             ids=["three", "five", "plain_tuple"])
     def test_bad_last_tuple_rejected_before_any_training(self, tiny_records,
                                                          tmp_path, last):
+        # Only LossWeights entries are accepted; text tuples are parsed by
+        # config.parse_weights before they reach the sweep.
         with pytest.raises(ValueError, match="weight grid entry 1"):
-            sweep_weights(TrainConfig(), TINY_MODEL, [(0.005, 1, 1, 0.005), last],
+            sweep_weights(TrainConfig(), TINY_MODEL, [LossWeights(), last],
                           tiny_records, tiny_records, tmp_path)
         assert not (tmp_path / "system0").exists()
+
 
 class TestTrainFromManifest:
     def test_train_and_evaluate_via_files(self, tmp_path):

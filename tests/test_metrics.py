@@ -115,9 +115,9 @@ class TestEvalReport:
                           np.zeros(n), np.zeros(n, bool),
                           np.ones(n, bool))
         report = eval_report([(rec, AudioClip(np.zeros(n), 1000))])
-        assert report.ta_power == pytest.approx(-80.0, abs=1e-12)
-        assert report.overall_si_sdr is None
-        assert report.bucket_si_sdr == {}
+        assert report.clip_means["TA"] == pytest.approx(-80.0, abs=1e-12)
+        assert list(report.clip_means) == ["TA"]
+        assert report.clip_counts == {"TA": 1}
 
     def test_single_all_ss_oracle_extractor(self):
         # the ~80 dB ceiling of si_sdr(s, s) holds for unit-energy targets
@@ -128,8 +128,8 @@ class TestEvalReport:
         rec = make_record("tp0", target + rng.standard_normal(n), target,
                           np.ones(n, bool), np.ones(n, bool))
         report = eval_report([(rec, rec.target_truth)])
-        assert report.bucket_counts["(80,100]%"] == 1
-        assert report.overall_si_sdr == pytest.approx(80.0, abs=0.01)
+        assert report.clip_counts == {"(80,100]%": 1, "average": 1}
+        assert report.clip_means["average"] == pytest.approx(80.0, abs=0.01)
         assert report.kind_means["SS"] == pytest.approx(80.0, abs=0.01)
 
     def test_hand_computed_means(self):
@@ -154,9 +154,10 @@ class TestEvalReport:
             else:
                 expected_tp.append(oracle_si_sdr(est, target))
         report = eval_report(pairs)
-        assert report.ta_power == pytest.approx(np.mean(expected_ta), rel=1e-9)
-        assert report.overall_si_sdr == pytest.approx(np.mean(expected_tp),
-                                                      rel=1e-9)
+        assert report.clip_means["TA"] == pytest.approx(np.mean(expected_ta),
+                                                        rel=1e-9)
+        assert report.clip_means["average"] == pytest.approx(
+            np.mean(expected_tp), rel=1e-9)
 
     def test_kind_view_uses_concatenated_samples(self):
         rng = np.random.default_rng(6)
@@ -211,6 +212,80 @@ class TestEvalReport:
         for name in ("report.txt", "clip_view.csv", "kind_view.csv",
                      "power_hist.csv", "visual_bins.csv"):
             assert (tmp_path / name).exists()
+
+    def test_write_report_bytes(self, tmp_path):
+        # Exact bytes of the rendered views over hand-built clips: two TA
+        # clips (one all QQ), one clip each in the 0%, (40,60]% and
+        # (80,100]% buckets, and visual ratios 0.0, 0.05, 0.5 and 1.0.
+        n = 40
+        idx = np.arange(n)
+        quarters = (idx % 7 - 3) / 4.0
+        pairs = []
+        for clip_id, t, i, evr, err in (
+                ("ta", idx < 0, idx < 20, 0.0, 0.5),
+                ("quiet", idx < 0, idx < 0, 0.05, 0.0),
+                ("solo", idx < 30, idx < 0, 1.0, 0.25),
+                ("half", idx < 30, idx >= 10, 0.5, 0.5),
+                ("full", idx >= 0, idx >= 0, 1.0, 0.75)):
+            target = np.where(t, quarters, 0.0)
+            rec = make_record(clip_id, target + 0.5 * i, target, t, i, evr=evr)
+            pairs.append((rec, AudioClip(target + err * (idx % 3 == 1), 1000)))
+        write_report(eval_report(pairs), tmp_path)
+        empty = "0,,,,\n"
+        want = {
+            "report.txt":
+                "    bucket      n    SI-SDR\n"
+                "        TA      2    -30.45 (power dB/s)\n"
+                "        0%      1      9.59\n"
+                "  (40,60]%      1      3.28\n"
+                " (80,100]%      1      0.89\n"
+                "   average      3      4.58\n"
+                "\n"
+                "  kind      n    metric\n"
+                "    QQ      3    -16.17 (power dB/s)\n"
+                "    SQ      2      7.47 (SI-SDR dB)\n"
+                "    SS      2      2.80 (SI-SDR dB)\n"
+                "    QS      2     19.09 (power dB/s)\n",
+            "clip_view.csv":
+                "bucket,count,mean_metric\n"
+                "TA,2,-30.45088315147818\n"
+                "0%,1,9.590146905010373\n"
+                '"(40,60]%",1,3.277556876458311\n'
+                '"(80,100]%",1,0.8871795883729914\n'
+                "average,3,4.584961123280558\n",
+            "kind_view.csv":
+                "kind,count,mean_metric,metric\n"
+                "QQ,3,-16.173124880850107,power\n"
+                "SQ,2,7.468803612303452,si_sdr\n"
+                "SS,2,2.8031900859008623,si_sdr\n"
+                "QS,2,19.085346582607762,power\n",
+            "visual_bins.csv":
+                "lo,hi,count,QQ,SQ,SS,QS\n"
+                "0.0,0.05,2,-30.624693682751968,,,19.420080530719467\n"
+                "0.05,0.1," + empty
+                + "0.1,0.15000000000000002," + empty
+                + "0.15000000000000002,0.2," + empty
+                + "0.2,0.25," + empty
+                + "0.25,0.30000000000000004," + empty
+                + "0.30000000000000004,0.35000000000000003," + empty
+                + "0.35000000000000003,0.4," + empty
+                + "0.4,0.45," + empty
+                + "0.45,0.5,1,,4.195051493095753,4.719200583428734,"
+                  "18.75061263449606\n"
+                + "0.5,0.55," + empty
+                + "0.55,0.6000000000000001," + empty
+                + "0.6000000000000001,0.65," + empty
+                + "0.65,0.7000000000000001," + empty
+                + "0.7000000000000001,0.75," + empty
+                + "0.75,0.8," + empty
+                + "0.8,0.8500000000000001," + empty
+                + "0.8500000000000001,0.9," + empty
+                + "0.9,0.9500000000000001," + empty
+                + "0.9500000000000001,1.0,2,12.730012722953614,"
+                  "10.742555731511152,0.8871795883729914,\n",
+        }
+        for name, text in want.items():
+            assert (tmp_path / name).read_text() == text, name
 
     def test_eps_constant(self):
         assert EPS == 1e-8

@@ -436,6 +436,15 @@ class TestManifest:
         with pytest.raises(ValueError, match="line 1"):
             read_manifest(tmp_path / "man.jsonl")
 
+    def test_stats_names_the_line_of_a_track_that_does_not_tile(self, tmp_path):
+        row = {"clip_id": "a", "sample_rate": 8000, "clip_len": 10,
+               "track": [[0, 10, "QQ"]], "effective_visual_ratio": 1.0}
+        (tmp_path / "man.jsonl").write_text(
+            json.dumps(row) + "\n" + json.dumps(dict(row, clip_len=12)) + "\n")
+        with pytest.raises(ValueError, match=r"man\.jsonl: line 2: field "
+                                             r"'track': segments cover"):
+            corpus_stats(tmp_path / "man.jsonl")
+
     def test_write_corpus_and_load_record(self, tmp_path):
         manifest = write_corpus(FAST, 2, seed=9, out_dir=tmp_path)
         rows = read_manifest(manifest)

@@ -14,18 +14,12 @@ from . import config as cfgmod
 from . import gradcheck, harness, mixsim
 
 
-def _parse_range(raw: str) -> tuple[float, float]:
-    parts = [float(x) for x in raw.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"expected 'lo,hi', got {raw!r}")
-    return parts[0], parts[1]
-
-
-def _grid_weights(chunk: str):
+def _flag_value(label: str, parse, raw: str):
+    """parse(raw), with any error prefixed by the flag it came from."""
     try:
-        return cfgmod.parse_weights(chunk)
+        return parse(raw)
     except ValueError as e:
-        raise ValueError(f"--grid tuple {chunk!r}: {e}") from None
+        raise ValueError(f"{label} {raw!r}: {e}") from None
 
 
 def _load_kv(path) -> dict:
@@ -37,7 +31,10 @@ def cmd_simulate(args) -> int:
     sim = cfgmod.sim_config(kv)
     if args.noisy:
         sim.noisy = True
-    occlusion = _parse_range(args.occlusion) if args.occlusion else None
+    occlusion = None
+    if args.occlusion:
+        occlusion = _flag_value("--occlusion", lambda r: cfgmod.parse_numbers(r, 2),
+                                args.occlusion)
     manifest = mixsim.write_corpus(sim, args.count, args.seed, args.out,
                                    occlusion=occlusion,
                                    overlapped=args.overlapped)
@@ -76,7 +73,8 @@ def cmd_sweep(args) -> int:
     train_cfg = cfgmod.train_config(kv)
     model_cfg = cfgmod.model_config(kv)
     if args.grid:
-        grid = [_grid_weights(chunk) for chunk in args.grid.split(";")]
+        grid = [_flag_value("--grid tuple", cfgmod.parse_weights, chunk)
+                for chunk in args.grid.split(";")]
     else:
         grid = list(harness.DEFAULT_WEIGHT_GRID)
     harness.sweep_weights(train_cfg, model_cfg, grid, args.train_manifest,
@@ -137,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_sweep)
 
     s = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    s.add_argument("--scope", choices=("all", "ops", "model"), default="all")
+    s.add_argument("--scope", choices=gradcheck.SCOPES, default="all")
     s.add_argument("--seeds", type=int, default=20)
     s.set_defaults(fn=cmd_gradcheck)
     return p

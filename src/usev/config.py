@@ -13,7 +13,7 @@ import dataclasses
 import difflib
 import json
 
-from .harness import TrainConfig
+from .harness import TrainConfig, crop_samples
 from .losses import LossWeights
 from .mixsim import SimConfig
 from .model import UsevConfig
@@ -59,12 +59,14 @@ def parse_kv_file(path) -> dict:
                          f"{clash[0]!r} next to init_checkpoint, whose "
                          "checkpoint fixes the model")
     # Cross-field checks live in each builder's __post_init__; run them here,
-    # where the file is known.
-    for cls in _BUILDERS:
-        try:
-            _build(cls, out)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
+    # where the file is known. So does the training crop, unless a
+    # checkpoint's model replaces this file's, when train checks it.
+    try:
+        built = {cls: _build(cls, out) for cls in _BUILDERS}
+        if not out.get("init_checkpoint"):
+            crop_samples(built[TrainConfig], built[UsevConfig])
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return out
 
 
@@ -78,7 +80,7 @@ def _coerce(default, raw: str):
     if isinstance(default, float):
         return float(raw)
     if isinstance(default, tuple):
-        return _numbers(raw, len(default))
+        return parse_numbers(raw, len(default))
     if isinstance(default, LossWeights):
         return parse_weights(raw)
     if isinstance(default, dict):
@@ -89,7 +91,8 @@ def _coerce(default, raw: str):
     return raw
 
 
-def _numbers(raw: str, width: int) -> tuple:
+def parse_numbers(raw: str, width: int) -> tuple:
+    """'a,b,...': exactly `width` comma-separated numbers."""
     parts = tuple(float(x) for x in raw.split(","))
     if len(parts) != width:
         raise ValueError(f"expected {width} comma-separated numbers, got {raw!r}")
@@ -98,7 +101,7 @@ def _numbers(raw: str, width: int) -> tuple:
 
 def parse_weights(raw: str) -> LossWeights:
     """'alpha,beta,gamma,delta': exactly 4 finite numbers >= 0."""
-    return LossWeights(*_numbers(raw, len(dataclasses.fields(LossWeights))))
+    return LossWeights(*parse_numbers(raw, len(dataclasses.fields(LossWeights))))
 
 
 def _build(cls, kv: dict):

@@ -11,6 +11,7 @@ rules (by wrapping `autodiff._node`) to show that each check can fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -87,165 +88,96 @@ def _away_from_zero(rng, shape, lo=0.2, hi=1.2):
     return mag * rng.choice([-1.0, 1.0], size=shape)
 
 
-# -- per-operator checks; each returns the error for one seed -------------------
-
-def _check_elementwise(seed):
+def _op_check(case, seed: int) -> float:
+    """The FD error of one OP_CHECKS entry at one seed. `case(rng)` draws
+    the inputs and returns ({name: array}, graph), where graph(t, proj)
+    builds the op on tensors t and reduces it to a scalar through proj,
+    whose weights are drawn after the inputs."""
     rng = np.random.default_rng(seed)
+    arrays, graph = case(rng)
     proj = _projector(rng)
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((3, 4))
-    c = rng.uniform(0.5, 2.0, size=(3, 1))  # broadcast divisor
-    return fd_check(
-        lambda t: proj(ad.div(ad.mul(ad.add(t["a"], t["b"]),
-                                     ad.sub(t["a"], 0.5)), t["c"])),
-        {"a": a, "b": b, "c": c})
+    return fd_check(lambda t: graph(t, proj), arrays)
 
 
-def _check_log(seed):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
-    x = rng.uniform(0.5, 2.0, size=(2, 5))
-    return fd_check(lambda t: proj(ad.log(t["x"])), {"x": x})
+def _shapes_graph(t, proj):
+    y = ad.transpose(ad.reshape(t["x"], (3, 8)), (1, 0))
+    z = ad.concat([y, y * 2.0], axis=1)
+    s = ad.concat([ad.ssum(z, axis=1), ad.reshape(t["x"], (24,))], axis=0)
+    return (ad.ssum(z, axis=0) * 0.3).sum() + proj(s)
 
 
-def _check_relu(seed):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
-    x = _away_from_zero(rng, (4, 6))
-    return fd_check(lambda t: proj(ad.relu(t["x"])), {"x": x})
-
-
-def _check_prelu(seed):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
-    x = _away_from_zero(rng, (4, 6))
-    a = np.array(rng.uniform(0.1, 0.5))
-    return fd_check(lambda t: proj(ad.prelu(t["x"], t["a"])),
-                    {"x": x, "a": a})
-
-
-def _check_matmul_linear(seed):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
-    x = rng.standard_normal((4, 3))
-    w = rng.standard_normal((3, 5))
-    b = rng.standard_normal(5)
-    return fd_check(lambda t: proj(ad.matmul(t["x"], t["w"]) + t["b"]),
-                    {"x": x, "w": w, "b": b})
-
-
-def _check_depthwise_conv1d(seed):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
-    x = rng.standard_normal((4, 9))
-    w = rng.standard_normal((4, 1, 5))
-    b = rng.standard_normal(4)
-    return fd_check(
-        lambda t: proj(ad.depthwise_conv1d(t["x"], t["w"], t["b"])),
-        {"x": x, "w": w, "b": b})
-
-
-def _check_layer_norm(seed):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
-    # The V-TCN shape [C, T] and the DPRNN shape [C, K, P].
-    arrays = {"x": rng.standard_normal((5, 7)),
-              "g": rng.uniform(0.5, 1.5, size=(5, 1)),
-              "b": rng.standard_normal((5, 1)),
-              "x3": rng.standard_normal((4, 3, 5)),
-              "g3": rng.uniform(0.5, 1.5, size=(4, 1, 1)),
-              "b3": rng.standard_normal((4, 1, 1))}
-    return fd_check(
-        lambda t: proj(ad.layer_norm(t["x"], t["g"], t["b"]))
-        + proj(ad.layer_norm(t["x3"], t["g3"], t["b3"])),
-        arrays)
-
-
-def _check_reductions_shapes(seed):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
-    x = rng.standard_normal((3, 4, 2))
-
-    def build(t):
-        y = ad.transpose(ad.reshape(t["x"], (3, 8)), (1, 0))
-        z = ad.concat([y, y * 2.0], axis=1)
-        s = ad.concat([ad.ssum(z, axis=1), ad.reshape(t["x"], (24,))], axis=0)
-        return (ad.ssum(z, axis=0) * 0.3).sum() + proj(s)
-
-    return fd_check(build, {"x": x})
-
-
-def _check_index_select(seed):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
+def _index_select_case(rng):
     x = rng.standard_normal((5, 8))
     idx = rng.integers(0, 8, size=11)
-    return fd_check(lambda t: proj(ad.index_select(t["x"], axis=1, indices=idx)),
-                    {"x": x})
+    return {"x": x}, lambda t, proj: proj(ad.index_select(t["x"], axis=1,
+                                                          indices=idx))
 
 
-def _check_bilstm(seed):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
+# Each case draws its inputs in a fixed order, so a seed always checks the
+# same values.
+_OP_CASES = {
+    "elementwise(add,sub,mul,div)": lambda rng: (
+        {"a": rng.standard_normal((3, 4)),
+         "b": rng.standard_normal((3, 4)),
+         "c": rng.uniform(0.5, 2.0, size=(3, 1))},  # broadcast divisor
+        lambda t, proj: proj(ad.div(ad.mul(ad.add(t["a"], t["b"]),
+                                           ad.sub(t["a"], 0.5)), t["c"]))),
+    "log": lambda rng: (
+        {"x": rng.uniform(0.5, 2.0, size=(2, 5))},
+        lambda t, proj: proj(ad.log(t["x"]))),
+    "relu": lambda rng: (
+        {"x": _away_from_zero(rng, (4, 6))},
+        lambda t, proj: proj(ad.relu(t["x"]))),
+    "prelu": lambda rng: (
+        {"x": _away_from_zero(rng, (4, 6)), "a": np.array(rng.uniform(0.1, 0.5))},
+        lambda t, proj: proj(ad.prelu(t["x"], t["a"]))),
+    "matmul/linear": lambda rng: (
+        {"x": rng.standard_normal((4, 3)),
+         "w": rng.standard_normal((3, 5)),
+         "b": rng.standard_normal(5)},
+        lambda t, proj: proj(ad.matmul(t["x"], t["w"]) + t["b"])),
+    "depthwise_conv1d": lambda rng: (
+        {"x": rng.standard_normal((4, 9)),
+         "w": rng.standard_normal((4, 1, 5)),
+         "b": rng.standard_normal(4)},
+        lambda t, proj: proj(ad.depthwise_conv1d(t["x"], t["w"], t["b"]))),
+    # The V-TCN shape [C, T] and the DPRNN shape [C, K, P].
+    "layer_norm": lambda rng: (
+        {"x": rng.standard_normal((5, 7)),
+         "g": rng.uniform(0.5, 1.5, size=(5, 1)),
+         "b": rng.standard_normal((5, 1)),
+         "x3": rng.standard_normal((4, 3, 5)),
+         "g3": rng.uniform(0.5, 1.5, size=(4, 1, 1)),
+         "b3": rng.standard_normal((4, 1, 1))},
+        lambda t, proj: proj(ad.layer_norm(t["x"], t["g"], t["b"]))
+        + proj(ad.layer_norm(t["x3"], t["g3"], t["b3"]))),
+    "sum/reshape/transpose/concat": lambda rng: (
+        {"x": rng.standard_normal((3, 4, 2))}, _shapes_graph),
+    "index_select": _index_select_case,
     # T=5, batch 3, F=4 != H=2: exercises the reversed-direction indexing.
-    arrays = {
-        "x": rng.standard_normal((5, 3, 4)),
-        "wx_f": rng.standard_normal((4, 8)) * 0.5,
-        "wh_f": rng.standard_normal((2, 8)) * 0.5,
-        "b_f": rng.standard_normal(8) * 0.3,
-        "wx_b": rng.standard_normal((4, 8)) * 0.5,
-        "wh_b": rng.standard_normal((2, 8)) * 0.5,
-        "b_b": rng.standard_normal(8) * 0.3,
-    }
-
-    def build(t):
-        out = ad.bilstm(t["x"], t["wx_f"], t["wh_f"], t["b_f"],
-                        t["wx_b"], t["wh_b"], t["b_b"])
-        return proj(out)
-
-    return fd_check(build, arrays)
-
-
-def _check_chunking(seed):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
-    x = rng.standard_normal((2, 11))
-    y = rng.standard_normal((2, 4, 7))
-
-    def build(t):
-        seg = ad.segment_chunks(t["x"], 4)
-        agg = ad.aggregate_chunks(t["y"], 11)
-        return proj(seg) + proj(agg)
-
-    return fd_check(build, {"x": x, "y": y})
-
-
-def _check_overlap_add(seed):
-    rng = np.random.default_rng(seed)
-    proj = _projector(rng)
+    "bilstm": lambda rng: (
+        {"x": rng.standard_normal((5, 3, 4)),
+         "wx_f": rng.standard_normal((4, 8)) * 0.5,
+         "wh_f": rng.standard_normal((2, 8)) * 0.5,
+         "b_f": rng.standard_normal(8) * 0.3,
+         "wx_b": rng.standard_normal((4, 8)) * 0.5,
+         "wh_b": rng.standard_normal((2, 8)) * 0.5,
+         "b_b": rng.standard_normal(8) * 0.3},
+        lambda t, proj: proj(ad.bilstm(*t.values()))),  # in the order above
+    "segment/aggregate_chunks": lambda rng: (
+        {"x": rng.standard_normal((2, 11)), "y": rng.standard_normal((2, 4, 7))},
+        lambda t, proj: proj(ad.segment_chunks(t["x"], 4))
+        + proj(ad.aggregate_chunks(t["y"], 11))),
     # Frames [L, T] = [6, 5] at hop 3 cover 18 samples. Drawn as [T, L] and
     # transposed, so each seed checks the frames it checked before the op
     # took the decoder's layout and its report figure stays comparable.
-    frames = np.ascontiguousarray(rng.standard_normal((5, 6)).T)
-    return fd_check(
-        lambda t: proj(ad.overlap_add_frames(t["f"], 3, 18)),
-        {"f": frames})
-
-
-OP_CHECKS = {
-    "elementwise(add,sub,mul,div)": _check_elementwise,
-    "log": _check_log,
-    "relu": _check_relu,
-    "prelu": _check_prelu,
-    "matmul/linear": _check_matmul_linear,
-    "depthwise_conv1d": _check_depthwise_conv1d,
-    "layer_norm": _check_layer_norm,
-    "sum/reshape/transpose/concat": _check_reductions_shapes,
-    "index_select": _check_index_select,
-    "bilstm": _check_bilstm,
-    "segment/aggregate_chunks": _check_chunking,
-    "overlap_add_frames": _check_overlap_add,
+    "overlap_add_frames": lambda rng: (
+        {"f": np.ascontiguousarray(rng.standard_normal((5, 6)).T)},
+        lambda t, proj: proj(ad.overlap_add_frames(t["f"], 3, 18))),
 }
+
+# name -> check(seed) returning the max relative error for that seed.
+OP_CHECKS = {name: partial(_op_check, case) for name, case in _OP_CASES.items()}
 
 
 def micro_config() -> UsevConfig:
@@ -301,8 +233,13 @@ class CheckResult:
         return self.max_err <= self.tol
 
 
+SCOPES = ("all", "ops", "model")
+
+
 def run_gradcheck(scope: str = "all", seeds: int = 20) -> list[CheckResult]:
     """Run the op and/or model suites."""
+    if scope not in SCOPES:
+        raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
     results = []

@@ -12,6 +12,7 @@ early stopping watches the validation loss.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -61,6 +62,11 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
+        if not 0.0 <= self.lr0 < math.inf:
+            raise ValueError(f"lr0 must be finite and >= 0, got {self.lr0}")
+        if not 0.0 < self.clip_truncate_s < math.inf:
+            raise ValueError(f"clip_truncate_s must be finite and positive, "
+                             f"got {self.clip_truncate_s}")
 
 
 @dataclass
@@ -119,13 +125,32 @@ def _random_crop(rng, record, n_trunc: int, spf: int):
             crop_track(record.track, start, end))
 
 
-def _validation_loss(cfg: TrainConfig, model: UsevNet, records) -> float:
+def crop_samples(cfg: TrainConfig, model_cfg: UsevConfig) -> int:
+    """Training crop length: clip_truncate_s floored to whole viseme frames,
+    which must leave at least one."""
+    sr = model_cfg.sample_rate
+    spf = sr // model_cfg.viseme_fps
+    n = int(round(cfg.clip_truncate_s * sr)) // spf * spf
+    if n == 0:
+        raise ValueError(f"clip_truncate_s {cfg.clip_truncate_s} s is shorter "
+                         f"than one viseme frame ({spf} samples at {sr} Hz)")
+    return max(model_cfg.kernel_len, n)
+
+
+def _validation_loss(cfg: TrainConfig, model: UsevNet, records,
+                     epoch: int) -> float:
+    """Mean loss over the full validation clips; a non-finite clip loss
+    stops training, naming the epoch and the clip."""
     vals = []
     with ad.no_grad(model.params.values()):
         for rec in records:
             out = model.forward(rec.mixture.samples, rec.viseme_stream)
-            vals.append(_clip_loss_graph(cfg, out, rec.target_truth.samples,
-                                         rec.track).item())
+            loss = _clip_loss_graph(cfg, out, rec.target_truth.samples,
+                                    rec.track).item()
+            if not np.isfinite(loss):
+                raise ValueError(f"epoch {epoch}: non-finite validation loss "
+                                 f"on clip {rec.clip_id}")
+            vals.append(loss)
     return float(np.mean(vals))
 
 
@@ -184,16 +209,13 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
         model = UsevNet(model_cfg, seed=cfg.seed)
     _check_clips(model, train_records + val_records)
 
-    sr = model.cfg.sample_rate
-    spf = sr // model.cfg.viseme_fps
-    n_trunc = max(model.cfg.kernel_len,
-                  int(round(cfg.clip_truncate_s * sr)) // spf * spf)
+    spf = model.cfg.sample_rate // model.cfg.viseme_fps
+    n_trunc = crop_samples(cfg, model.cfg)
     rng = np.random.default_rng([cfg.seed, 99])
     opt = ad.Adam(model.trainable_params(), lr=cfg.lr0)
 
     history = []
     best_val = np.inf
-    best_epoch = -1
     since_best = 0
     best_path = out / "best.ckpt"
     log_path = out / "train_log.jsonl"
@@ -215,7 +237,7 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
                     cfg, model, opt, crops, epoch, step,
                     [rec.clip_id for rec in batch]))
             train_loss = float(np.mean(batch_losses))
-            val_loss = _validation_loss(cfg, model, val_records)
+            val_loss = _validation_loss(cfg, model, val_records, epoch)
             wall = time.monotonic() - t0
 
             entry = {"epoch": epoch, "lr": opt.lr, "train_loss": train_loss,
@@ -228,7 +250,6 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
 
             if val_loss < best_val:
                 best_val = val_loss
-                best_epoch = epoch
                 since_best = 0
                 save_model(best_path, model,
                            extra_meta={"epoch": epoch, "val_loss": val_loss})
@@ -240,8 +261,6 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
         log_f.close()
         loss_f.close()
 
-    if best_epoch < 0:
-        save_model(best_path, model, extra_meta={"epoch": -1})
     return TrainResult(best_path, log_path, loss_log_path, history,
                        best_val, model)
 

@@ -125,6 +125,9 @@ def eval_report(pairs) -> ReportTables:
             raise ValueError(
                 f"clip {rec.clip_id}: extracted length {est_s.shape} does not "
                 f"match target {ref_s.shape}")
+        if not 0.0 <= rec.effective_visual_ratio <= 1.0:
+            raise ValueError(f"clip {rec.clip_id}: effective_visual_ratio "
+                             f"{rec.effective_visual_ratio} outside [0, 1]")
         sr = rec.mixture.sample_rate
         track = rec.track
         bucket = clip_bucket(track)

@@ -55,8 +55,21 @@ class SimConfig:
     bucket_weights: dict = field(default_factory=lambda: dict(_DEFAULT_BUCKET_WEIGHTS))
 
     def __post_init__(self):
+        for name in ("sample_rate", "viseme_fps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.sample_rate % self.viseme_fps:
             raise ValueError("sample_rate must be a multiple of viseme_fps")
+        if self.n_speakers < 2:
+            raise ValueError(f"n_speakers must be at least 2, got {self.n_speakers}")
+        for name in ("utterance_s", "clip_s", "snr_db", "noise_snr_db"):
+            lo, hi = getattr(self, name)
+            if not -math.inf < lo <= hi < math.inf:
+                raise ValueError(f"{name} must be a finite range lo,hi with "
+                                 f"lo <= hi, got {lo}, {hi}")
+        if not 0.0 < self.ta_reference_rms < math.inf:
+            raise ValueError(f"ta_reference_rms must be finite and positive, "
+                             f"got {self.ta_reference_rms}")
         if self.utterance_s[0] < self.clip_s[1]:
             raise ValueError("utterances must be at least as long as the longest clip")
         if self.utterance_s[0] < MIN_UTTERANCE_S:
@@ -317,38 +330,34 @@ def _bucket_distance(actual: str, desired: str) -> int:
 def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
     """Draw a clip plan whose overlap bucket follows cfg.bucket_weights."""
     spf = cfg.samples_per_frame
-    clip_frames = int(round(rng.uniform(*cfg.clip_s) * cfg.viseme_fps))
-    clip_len = clip_frames * spf
-    target_absent = bool(rng.random() < cfg.ta_prob)
+    clip_len = int(round(rng.uniform(*cfg.clip_s) * cfg.viseme_fps)) * spf
 
-    def draw_noise():
-        return float(rng.uniform(*cfg.noise_snr_db)) if cfg.noisy else None
+    def plan(parts, target=None, crop=(0, 0)) -> MixtureSpec:
+        """The spec of these (source, crop, offset, snr_db) parts; draws the
+        noise SNR, then the noise seed."""
+        sources, crops, offsets, snrs = (list(f) for f in zip(*parts))
+        noise = float(rng.uniform(*cfg.noise_snr_db)) if cfg.noisy else None
+        return MixtureSpec(target, crop, sources, crops, offsets, snrs, noise,
+                           target is None, clip_len, int(rng.integers(2**62)))
 
-    def draw_seed():
-        return int(rng.integers(2**62))
-
-    if target_absent:
+    if rng.random() < cfg.ta_prob:  # target absent
         n_interf = int(rng.integers(1, 3))
-        sources, crops, offsets, snrs, speakers = [], [], [], [], []
+        parts = []
         for _ in range(_MAX_TRIES):
-            idx = _pick_utterance(rng, bank, clip_len, exclude_speakers=speakers)
+            idx = _pick_utterance(rng, bank, clip_len, exclude_speakers=[
+                bank.speaker_of(p[0]) for p in parts])
             if idx is None:
                 break
             utt = bank.get(idx)
             c0 = int(rng.integers(0, len(utt.clip) - clip_len + 1))
             if not utt.clip.samples[c0 : c0 + clip_len].any():
                 continue
-            speakers.append(bank.speaker_of(idx))
-            sources.append(idx)
-            crops.append((c0, clip_len))
-            offsets.append(0)
-            snrs.append(float(rng.uniform(*cfg.snr_db)))
-            if len(sources) == n_interf:
+            parts.append((idx, (c0, clip_len), 0, float(rng.uniform(*cfg.snr_db))))
+            if len(parts) == n_interf:
                 break
-        if not sources:
+        if not parts:
             raise ValueError("could not place any audible interference")
-        return MixtureSpec(None, (0, 0), sources, crops, offsets, snrs,
-                           draw_noise(), True, clip_len, draw_seed())
+        return plan(parts)
 
     names = BUCKETS[1:]
     weights = np.array([cfg.bucket_weights.get(n, 0.0) for n in names])
@@ -368,64 +377,49 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
         if not t_mask.any():
             continue
         t_act = int(t_mask.sum())
-        t_speaker = bank.speaker_of(t_idx)
 
-        sources, crops, offsets, snrs, speakers = [], [], [], [], []
+        parts = []
         combined = np.zeros(clip_len, dtype=bool)
         for _j in range(n_interf):
-            idx = _pick_utterance(rng, bank, clip_len,
-                                  exclude_speakers=[t_speaker] + speakers,
-                                  prefer=prefer)
+            idx = _pick_utterance(rng, bank, clip_len, exclude_speakers=[
+                bank.speaker_of(i) for i in [t_idx] + [p[0] for p in parts]],
+                prefer=prefer)
             if idx is None:
                 break
-            utt = bank.get(idx)
-            act = utt.activity
-            short = hi <= 0.4 and rng.random() < 0.5
-            if short:
+            act = bank.get(idx).activity
+            if hi <= 0.4 and rng.random() < 0.5:
                 # Short burst placed inside the clip.
-                burst_len = int(rng.uniform(0.8, 2.5) * cfg.sample_rate)
-                burst_len = min(burst_len, clip_len, len(act))
-                c0 = int(rng.integers(0, len(act) - burst_len + 1))
-                crop_mask = act[c0 : c0 + burst_len]
+                n = min(int(rng.uniform(0.8, 2.5) * cfg.sample_rate), clip_len,
+                        len(act))
+                c0 = int(rng.integers(0, len(act) - n + 1))
+                crop_mask = act[c0 : c0 + n]
                 if not crop_mask.any():
                     continue
-                ss, _ = _window_overlap(crop_mask, t_mask, burst_len)
+                ss, _ = _window_overlap(crop_mask, t_mask, n)
                 off = _pick_shift(rng, ss, int(crop_mask.sum()), t_act, lo, hi)
                 if off is None:
                     continue
-                sources.append(idx)
-                crops.append((c0, burst_len))
-                offsets.append(off)
             else:
                 # Full-cover crop; search the crop start inside the utterance.
+                n, off = clip_len, 0
                 ss, act_w = _window_overlap(t_mask, act, clip_len)
                 c0 = _pick_shift(rng, ss, act_w, t_act, lo, hi)
                 if c0 is None or act_w[c0] == 0:
                     continue
-                sources.append(idx)
-                crops.append((c0, clip_len))
-                offsets.append(0)
-            speakers.append(bank.speaker_of(idx))
-            src_c0, src_len = crops[-1]
-            place = np.zeros(clip_len, dtype=bool)
-            place[offsets[-1] : offsets[-1] + src_len] = \
-                bank.get(idx).activity[src_c0 : src_c0 + src_len]
-            combined |= place
-            snrs.append(float(rng.uniform(*cfg.snr_db)))
-        if not sources:
+            combined[off : off + n] |= act[c0 : c0 + n]
+            parts.append((idx, (c0, n), off, float(rng.uniform(*cfg.snr_db))))
+        if not parts:
             continue
 
-        track = label_scenarios(t_mask, combined)
-        actual = clip_bucket(track)
-        spec = MixtureSpec(t_idx, (t0, clip_len), sources, crops, offsets,
-                           snrs, draw_noise(), False, clip_len, draw_seed())
+        actual = clip_bucket(label_scenarios(t_mask, combined))
+        spec = plan(parts, t_idx, (t0, clip_len))
         dist = _bucket_distance(actual, desired)
         if best is None or dist < best[0]:
             # A raised-cosine ramp edge is marked active yet can be exactly
             # 0.0, so a crop must be audible in its samples, not its mask.
-            parts = [(t_idx, (t0, clip_len)), *zip(sources, crops)]
+            crops = [(t_idx, (t0, clip_len))] + [p[:2] for p in parts]
             if not all(bank.get(i).clip.samples[c0 : c0 + n].any()
-                       for i, (c0, n) in parts):
+                       for i, (c0, n) in crops):
                 continue
             best = (dist, spec)
         if dist == 0:
@@ -499,6 +493,8 @@ def read_visemes(path):
         payload = audio_io.read_exact(f, 4 * n_frames * dim, path, "viseme payload")
         audio_io.expect_end(f, path)
     data = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: viseme payload holds a non-finite value")
     return data.reshape(n_frames, dim).astype(np.float64), int(fps)
 
 

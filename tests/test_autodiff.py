@@ -8,7 +8,8 @@ import pytest
 from usev import autodiff as ad
 from usev.autodiff import Adam, Tensor
 from usev.checkpoint import load_checkpoint, save_checkpoint
-from usev.gradcheck import OP_CHECKS, OP_TOL, fd_check, max_rel_err, micro_config
+from usev.gradcheck import (OP_CHECKS, OP_TOL, fd_check, max_rel_err, micro_config,
+                            run_gradcheck)
 from usev.harness import load_model, save_model
 from usev.losses import LossWeights, tensor_loss_differentiated
 from usev.model import UsevConfig, UsevNet
@@ -458,6 +459,11 @@ class TestGradientChecks:
     def test_negative_control_detects_corruption(self, plant_backward):
         plant_backward("relu", 1.5)
         assert OP_CHECKS["relu"](0) > OP_TOL
+
+    def test_unknown_scope_names_the_choices(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "scope must be one of ('all', 'ops', 'model'), got 'op'")):
+            run_gradcheck(scope="op")
 
     def test_fd_check_harness_on_known_graph(self):
         rng = np.random.default_rng(6)

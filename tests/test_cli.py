@@ -47,6 +47,18 @@ def test_overlapped_with_occlusion_gives_param_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raw,message", [
+    ("0.2", "--occlusion '0.2': expected 2 comma-separated numbers"),
+    ("a,b", "--occlusion 'a,b': could not convert string to float: 'a'"),
+], ids=["one-number", "not-numbers"])
+def test_malformed_occlusion_flag_gives_param_exit_code(tmp_path, capsys, raw,
+                                                        message):
+    out = tmp_path / "o"
+    assert run(["simulate", "--out", out, "--count", 1, "--occlusion", raw]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_overlapped_clips_are_noisy_without_noisy_flag(tmp_path):
     out = tmp_path / "ov"
     assert run(["simulate", "--out", out, "--count", 2, "--seed", 0,
@@ -170,6 +182,26 @@ SIM_OK = "clip_s = 1.0,1.4\nutterance_s = 3.0,4.0\n"
      "line 3: unknown config key 'speech_span_s'"),
     ("train", "lr0 = 0.01\nencoder_dim = 32\ninit_checkpoint = run/best.ckpt\n",
      "line 2: model key 'encoder_dim' next to init_checkpoint"),
+    ("simulate", SIM_OK + "n_speakers = 0\n", "n_speakers must be at least 2, got 0"),
+    ("simulate", SIM_OK + "n_speakers = -3\n",
+     "n_speakers must be at least 2, got -3"),
+    ("simulate", SIM_OK + "viseme_fps = 0\n", "viseme_fps must be positive, got 0"),
+    ("simulate", SIM_OK + "snr_db = nan,1\n",
+     "snr_db must be a finite range lo,hi with lo <= hi, got nan, 1.0"),
+    ("simulate", SIM_OK + "noise_snr_db = 5,-5\n",
+     "noise_snr_db must be a finite range lo,hi with lo <= hi, got 5.0, -5.0"),
+    ("simulate", SIM_OK + "ta_reference_rms = inf\n",
+     "ta_reference_rms must be finite and positive, got inf"),
+    ("train", "lr0 = -0.01\n", "lr0 must be finite and >= 0, got -0.01"),
+    ("train", "lr0 = nan\n", "lr0 must be finite and >= 0, got nan"),
+    ("train", "clip_truncate_s = nan\n",
+     "clip_truncate_s must be finite and positive, got nan"),
+    ("train", "clip_truncate_s = 0\n",
+     "clip_truncate_s must be finite and positive, got 0.0"),
+    ("train", "clip_truncate_s = -1\n",
+     "clip_truncate_s must be finite and positive, got -1.0"),
+    ("train", "clip_truncate_s = 0.01\n", "clip_truncate_s 0.01 s is shorter "
+     "than one viseme frame (320 samples at 8000 Hz)"),
 ])
 def test_malformed_config_gives_param_exit_code(tmp_path, capsys, command,
                                                 text, message):

@@ -1,5 +1,7 @@
 import json
+import re
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +53,7 @@ class TestTrainLoop:
                           clip_truncate_s=0.5, loss="uniform", seed=0)
         result = train(cfg, TINY_MODEL, tiny_records, tiny_records, tmp_path)
         assert len(result.history) == 1 + 3
+        assert load_checkpoint(result.best_checkpoint)[1]["epoch"] == 0
 
     def test_best_checkpoint_never_worse_than_history(self, tiny_records,
                                                       tmp_path):
@@ -107,6 +110,26 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             train(TrainConfig(), TINY_MODEL, [], [], tmp_path)
+
+    def test_crop_shorter_than_a_viseme_frame_rejected(self, tiny_records,
+                                                       tmp_path):
+        with pytest.raises(ValueError, match="clip_truncate_s 0.01 s is "
+                           "shorter than one viseme frame"):
+            train(TrainConfig(clip_truncate_s=0.01), TINY_MODEL, tiny_records,
+                  tiny_records, tmp_path)
+
+    def test_non_finite_validation_loss_names_epoch_and_clip(self, tiny_records,
+                                                              tmp_path):
+        bad = tiny_records[2]
+        visemes = bad.viseme_stream.copy()
+        visemes[0, 0] = np.nan
+        val = [tiny_records[0], replace(bad, viseme_stream=visemes)]
+        cfg = TrainConfig(lr0=0.001, max_epochs=2, batch_size=2,
+                          clip_truncate_s=0.5, loss="uniform", seed=8)
+        with pytest.raises(ValueError, match=re.escape(
+                f"epoch 0: non-finite validation loss on clip {bad.clip_id}")):
+            train(cfg, TINY_MODEL, tiny_records, val, tmp_path)
+        assert not (tmp_path / "best.ckpt").exists()
 
     def test_non_finite_stops_before_the_adam_step(self, tiny_records,
                                                    tmp_path, monkeypatch):

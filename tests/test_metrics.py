@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,14 @@ class TestEvalReport:
         assert report.visual_bins[1]["count"] == 1  # 0.07 -> (5, 10]
         assert report.visual_bins[9]["count"] == 1  # 0.5 -> (45, 50]
         assert report.visual_bins[19]["count"] == 2  # 0.98 and 1.0
+
+    @pytest.mark.parametrize("evr", [1.5, -0.1, float("nan")])
+    def test_visual_ratio_outside_unit_interval_names_the_clip(self, evr):
+        rec = make_record("odd-clip", np.ones(100), np.ones(100),
+                          np.ones(100, bool), np.zeros(100, bool), evr=evr)
+        with pytest.raises(ValueError, match=re.escape(
+                f"clip odd-clip: effective_visual_ratio {evr} outside [0, 1]")):
+            eval_report([(rec, rec.target_truth)])
 
     def test_length_mismatch_reports_clip_id(self):
         rec = make_record("bad-clip", np.zeros(100), np.zeros(100),

@@ -408,6 +408,15 @@ class TestVisemeFiles:
             with pytest.raises(ValueError, match=re.escape(str(cut))):
                 read_visemes(cut)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_payload_names_the_file(self, tmp_path, bad):
+        frames = np.ones((5, 3))
+        frames[2, 1] = bad
+        write_visemes(tmp_path / "v.bin", frames, 25)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / 'v.bin'}: viseme payload holds a non-finite")):
+            read_visemes(tmp_path / "v.bin")
+
     @pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 4])
     def test_trailing_bytes_rejected(self, tmp_path, extra):
         write_visemes(tmp_path / "v.bin", np.ones((5, 3)), 25)

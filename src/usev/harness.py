@@ -154,9 +154,11 @@ def _validation_loss(cfg: TrainConfig, model: UsevNet, records,
     return float(np.mean(vals))
 
 
-def _check_finite(loss, model: UsevNet, epoch: int, step: int, clip_ids) -> None:
-    """Stop before an Adam step would take in a non-finite loss or gradient."""
-    bad = [] if np.isfinite(loss.item()) else ["loss"]
+def _check_finite(loss: float, model: UsevNet, epoch: int, step: int,
+                  clip_id, clip_ids) -> None:
+    """Stop before an Adam step would take in a non-finite loss or gradient,
+    naming the clip whose backward pass brought it in."""
+    bad = [] if np.isfinite(loss) else ["loss"]
     grads = [name for name, p in model.params.items()
              if p.grad is not None and not np.isfinite(p.grad).all()]
     if grads:
@@ -164,27 +166,39 @@ def _check_finite(loss, model: UsevNet, epoch: int, step: int, clip_ids) -> None
                    + (f" and {len(grads) - 1} more" if len(grads) > 1 else ""))
     if bad:
         raise ValueError(f"epoch {epoch} step {step}: non-finite "
-                         f"{' and '.join(bad)} on clips {clip_ids}")
+                         f"{' and '.join(bad)} on clip {clip_id} of clips "
+                         f"{clip_ids}")
+
+
+def _clip_backward(cfg: TrainConfig, model: UsevNet, crop, scale: float) -> float:
+    """Build one clip's loss graph, backpropagate `scale` times it into the
+    parameters and return the loss; the graph dies when this returns."""
+    mix, ref, vis, track = crop
+    term = _clip_loss_graph(cfg, model.forward(mix, vis), ref, track)
+    (term * scale).backward()
+    return term.item()
 
 
 def train_step(cfg: TrainConfig, model: UsevNet, opt, crops, epoch: int,
                step: int, clip_ids) -> float:
     """One Adam step on the mean loss over the cropped clips; returns the
-    loss. The step's graph dies with this frame, before the next step builds
-    its own."""
+    loss.
+
+    Each clip's graph is built, backpropagated and freed before the next
+    clip's forward, so a step holds one clip's graph at a time. The clips
+    run last to first: one backward through the summed graph
+    `((l0 + l1) + l2) * (1/n)` visits them in that order, so every parameter
+    adds up the clips' gradients in the same order and gets the same bits.
+    The loss adds the clip losses in batch order, as the summed graph
+    does."""
     opt.zero_grad()
-    terms = []
-    for mix, ref, vis, track in crops:
-        est = model.forward(mix, vis)
-        terms.append(_clip_loss_graph(cfg, est, ref, track))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    loss = total * (1.0 / len(terms))
-    loss.backward()
-    _check_finite(loss, model, epoch, step, clip_ids)
+    scale = 1.0 / len(crops)
+    losses = [0.0] * len(crops)
+    for i in reversed(range(len(crops))):
+        losses[i] = _clip_backward(cfg, model, crops[i], scale)
+        _check_finite(losses[i], model, epoch, step, clip_ids[i], clip_ids)
     opt.step()
-    return loss.item()
+    return sum(losses[1:], losses[0]) * scale
 
 
 def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,

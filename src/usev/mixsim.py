@@ -67,6 +67,9 @@ class SimConfig:
             if not -math.inf < lo <= hi < math.inf:
                 raise ValueError(f"{name} must be a finite range lo,hi with "
                                  f"lo <= hi, got {lo}, {hi}")
+        if self.clip_s[0] < 1.0 / self.viseme_fps:
+            raise ValueError(f"clip_s must start at or above one viseme frame "
+                             f"({1.0 / self.viseme_fps} s), got {self.clip_s[0]}")
         if not 0.0 < self.ta_reference_rms < math.inf:
             raise ValueError(f"ta_reference_rms must be finite and positive, "
                              f"got {self.ta_reference_rms}")

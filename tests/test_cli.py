@@ -192,6 +192,10 @@ SIM_OK = "clip_s = 1.0,1.4\nutterance_s = 3.0,4.0\n"
      "noise_snr_db must be a finite range lo,hi with lo <= hi, got 5.0, -5.0"),
     ("simulate", SIM_OK + "ta_reference_rms = inf\n",
      "ta_reference_rms must be finite and positive, got inf"),
+    ("simulate", "clip_s = -2,1\nutterance_s = 3.0,4.0\n",
+     "clip_s must start at or above one viseme frame (0.04 s), got -2.0"),
+    ("simulate", "clip_s = 0,0.01\nutterance_s = 3.0,4.0\n",
+     "clip_s must start at or above one viseme frame (0.04 s), got 0.0"),
     ("train", "lr0 = -0.01\n", "lr0 must be finite and >= 0, got -0.01"),
     ("train", "lr0 = nan\n", "lr0 must be finite and >= 0, got nan"),
     ("train", "clip_truncate_s = nan\n",

@@ -10,9 +10,11 @@ from usev import autodiff as ad
 from usev.checkpoint import load_checkpoint
 from usev.config import model_config, parse_kv_file, sim_config, train_config
 from usev.dsp import AudioClip
-from usev.harness import (DEFAULT_WEIGHT_GRID, TrainConfig, evaluate,
-                          extraction_pairs, learning_rate, load_model,
-                          save_model, sweep_weights, train)
+from usev.harness import (DEFAULT_WEIGHT_GRID, LOSSES, TrainConfig,
+                          _clip_loss_graph, _random_crop, crop_samples,
+                          evaluate, extraction_pairs, learning_rate,
+                          load_model, save_model, sweep_weights, train,
+                          train_step)
 from usev.losses import LossWeights
 from usev.metrics import eval_report
 from usev.mixsim import SimConfig, iter_corpus, write_corpus
@@ -28,6 +30,30 @@ TINY_SIM = SimConfig(clip_s=(0.6, 0.8), utterance_s=(3.0, 4.0),
 @pytest.fixture(scope="module")
 def tiny_records():
     return list(iter_corpus(TINY_SIM, 4, seed=31))
+
+
+def tiny_crops(records, n: int, seed: int = 0):
+    """n seeded 0.5 s training crops, cycling through the records."""
+    rng = np.random.default_rng(seed)
+    n_trunc = crop_samples(TrainConfig(clip_truncate_s=0.5), TINY_MODEL)
+    spf = TINY_MODEL.sample_rate // TINY_MODEL.viseme_fps
+    return [_random_crop(rng, records[i % len(records)], n_trunc, spf)
+            for i in range(n)]
+
+
+def summed_graph_step(cfg, model, opt, crops) -> float:
+    """Reference step: every clip's loss graph built first, summed, and
+    backpropagated once, then one Adam step."""
+    opt.zero_grad()
+    terms = [_clip_loss_graph(cfg, model.forward(mix, vis), ref, track)
+             for mix, ref, vis, track in crops]
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    loss = total * (1.0 / len(terms))
+    loss.backward()
+    opt.step()
+    return loss.item()
 
 
 class TestTrainConfig:
@@ -168,26 +194,83 @@ class TestTrainLoop:
 
     def test_no_graph_outlives_its_step(self, tiny_records, tmp_path,
                                         monkeypatch):
-        # Each step's loss root is tracked through its data array, which only
-        # the root holds; by the next step's zero_grad it must be gone.
-        roots, alive = [], []
+        # Each clip's backward root and model output are tracked through
+        # their data arrays, which only the graph holds. Every earlier one
+        # must be gone when the next clip's forward starts and at each
+        # zero_grad, so a step never holds two clips' graphs.
+        graphs, alive = [], []
         backward, zero_grad = ad.Tensor.backward, ad.Adam.zero_grad
+        forward = UsevNet.forward
 
         def tracked_backward(self):
-            roots.append(weakref.ref(self.data))
+            graphs.append(weakref.ref(self.data))
             backward(self)
 
+        def checked_forward(self, *args):
+            alive.append(sum(r() is not None for r in graphs))
+            out = forward(self, *args)
+            if out.requires_grad:
+                graphs.append(weakref.ref(out.data))
+            return out
+
         def checked_zero_grad(self):
-            alive.append([r() is not None for r in roots])
+            alive.append(sum(r() is not None for r in graphs))
             zero_grad(self)
 
         monkeypatch.setattr(ad.Tensor, "backward", tracked_backward)
+        monkeypatch.setattr(UsevNet, "forward", checked_forward)
         monkeypatch.setattr(ad.Adam, "zero_grad", checked_zero_grad)
         cfg = TrainConfig(lr0=0.001, max_epochs=2, batch_size=2,
                           clip_truncate_s=0.5, loss="uniform", seed=3)
         train(cfg, TINY_MODEL, tiny_records, tiny_records, tmp_path)
-        assert len(roots) == 4
-        assert alive == [[], [False], [False] * 2, [False] * 3]
+        # 2 epochs x 2 steps x 2 clips, each with a root and an output.
+        assert len(graphs) == 2 * 8
+        # 4 zero_grads, 8 training and 8 validation forwards.
+        assert alive == [0] * 20
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5])
+    def test_step_matches_summed_graph_bit_for_bit(self, tiny_records, loss,
+                                                   batch):
+        # From batch 3 on, the parameters' gradient sums show the order in
+        # which the clips are backpropagated.
+        cfg = TrainConfig(loss=loss)
+        crops = tiny_crops(tiny_records, batch, seed=batch)
+        nets = [UsevNet(TINY_MODEL, seed=4) for _ in range(2)]
+        opts = [ad.Adam(net.trainable_params(), lr=0.001) for net in nets]
+        got = train_step(cfg, nets[0], opts[0], crops, 0, 0, list(range(batch)))
+        want = summed_graph_step(cfg, nets[1], opts[1], crops)
+        assert got == want
+        for name, p in nets[1].params.items():
+            q = nets[0].params[name]
+            if p.grad is None:
+                assert q.grad is None, name
+                continue
+            np.testing.assert_array_equal(q.grad, p.grad, err_msg=name)
+            np.testing.assert_array_equal(q.data, p.data, err_msg=name)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_finite_mixture_names_its_clip(self, tiny_records, position):
+        cfg = TrainConfig(loss="differentiated")
+        net = UsevNet(TINY_MODEL, seed=5)
+        opt = ad.Adam(net.trainable_params(), lr=0.001)
+        crops = tiny_crops(tiny_records, 2)
+        train_step(cfg, net, opt, crops, 0, 0, ["a", "b"])
+        snap = [(p.data.copy(), m.copy(), v.copy())
+                for p, m, v in zip(opt.params, opt._m, opt._v)]
+        mix = crops[position][0].copy()
+        mix[100] = np.nan
+        crops[position] = (mix,) + crops[position][1:]
+        ids = ["c", "d"]
+        with pytest.raises(ValueError) as err:
+            train_step(cfg, net, opt, crops, 0, 1, ids)
+        msg = str(err.value)
+        assert msg.startswith("epoch 0 step 1: non-finite loss and gradient of")
+        assert msg.endswith(f"on clip {ids[position]} of clips {ids}")
+        assert opt.t == 1
+        for p, m, v, (p0, m0, v0) in zip(opt.params, opt._m, opt._v, snap):
+            assert np.array_equal(m, m0) and np.array_equal(v, v0)
+            assert np.array_equal(p.data, p0)
 
 
 class TestSaveLoadModel:

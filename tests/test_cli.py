@@ -369,6 +369,17 @@ def test_clip_disagreeing_with_its_row_gives_param_exit_code(
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_truncated_wav_header_gives_param_exit_code(tmp_path, capsys,
+                                                    command):
+    manifest = _small_corpus(tmp_path / "corpus")
+    path = tmp_path / "corpus" / read_manifest(manifest)[1]["mixture_path"]
+    path.write_bytes(path.read_bytes()[:30])
+    assert run(_train_or_evaluate(command, tmp_path, manifest)) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "line 2" in err and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
 def test_clip_at_another_rate_than_the_model_gives_param_exit_code(
         tmp_path, capsys, command):
     manifest = _small_corpus(tmp_path / "corpus", sample_rate=16000)

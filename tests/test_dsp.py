@@ -1,9 +1,15 @@
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import usev
 from usev.audio_io import read_wav, write_wav
 from usev.dsp import (AudioClip, add_frames, energy, gather_frames,
                       measure_snr_db, snr_gain)
@@ -165,3 +171,88 @@ class TestFileIO:
         write_wav(tmp_path / "a.wav", a)
         write_wav(tmp_path / "b.wav", a)
         assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+
+def _riff(*chunks):
+    """A RIFF/WAVE file of (id, body) chunks, each padded to even length."""
+    body = b"".join(cid + struct.pack("<I", len(b)) + b + b"\0" * (len(b) % 2)
+                    for cid, b in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def _fmt(tag, bits, channels=1, rate=8000, ext=b""):
+    align = channels * bits // 8
+    return b"fmt ", struct.pack("<HHIIHH", tag, channels, rate, rate * align,
+                                align, bits) + ext
+
+
+def _extensible_float32(rate):
+    guid = struct.pack("<I", 3) + bytes.fromhex("00001000800000aa00389b71")
+    ext = struct.pack("<HHI", 22, 32, 4) + guid
+    return _fmt(0xFFFE, 32, rate=rate, ext=ext)
+
+
+_F32 = np.random.default_rng(12).uniform(-0.9, 0.9, 800).astype("<f4").tobytes()
+
+
+class TestWavFormat:
+    """scipy.io.wavfile is the reference here only; usev reads and writes
+    WAVs with its own RIFF code."""
+
+    @pytest.mark.parametrize("n", [1, 777, 8000])
+    def test_write_matches_scipy_bytes(self, tmp_path, n):
+        a = AudioClip(np.random.default_rng(n).uniform(-0.9, 0.9, n), 8000)
+        write_wav(tmp_path / "a.wav", a)
+        wavfile.write(tmp_path / "b.wav", 8000, a.samples.astype("<f4"))
+        assert ((tmp_path / "a.wav").read_bytes()
+                == (tmp_path / "b.wav").read_bytes())
+
+    @pytest.mark.parametrize("kind", ["float32", "float64", "pcm16",
+                                      "extensible_float32"])
+    def test_read_matches_scipy(self, tmp_path, kind):
+        x = np.random.default_rng(13).uniform(-0.9, 0.9, 777)
+        path = tmp_path / "a.wav"
+        if kind == "extensible_float32":  # with an odd-sized chunk to skip
+            path.write_bytes(_riff(_extensible_float32(16000),
+                                   (b"LIST", b"abc"),
+                                   (b"data", x.astype("<f4").tobytes())))
+        else:
+            dtype = {"float32": "<f4", "float64": "<f8", "pcm16": "<i2"}[kind]
+            data = np.rint(x * 32767) if kind == "pcm16" else x
+            wavfile.write(path, 16000, data.astype(dtype))
+        rate, ref = wavfile.read(path)
+        ref = ref.astype(np.float64) / (32767.0 if kind == "pcm16" else 1.0)
+        back = read_wav(path)
+        assert back.sample_rate == rate == 16000
+        np.testing.assert_array_equal(back.samples, ref)
+
+    @pytest.mark.parametrize("wav,message", [
+        (b"RIFX" + _riff(_fmt(3, 32), (b"data", _F32))[4:], "not a RIFF WAVE"),
+        (_riff(_fmt(3, 32), (b"data", _F32))[:30], "truncated 'fmt ' chunk"),
+        (_riff((b"data", _F32)), "no 'fmt ' chunk before the 'data' chunk"),
+        (_riff(_fmt(3, 32, channels=2), (b"data", _F32)), "2 channels"),
+        (_riff(_fmt(1, 8), (b"data", bytes(800))), "8-bit integer"),
+        (_riff(_fmt(1, 24), (b"data", bytes(2400))), "24-bit integer"),
+        (_riff(_fmt(1, 32), (b"data", bytes(3200))), "32-bit integer"),
+        (_riff(_fmt(3, 32), (b"data", _F32 + b"\0\0")),
+         "3202 bytes is not a whole number of 4-byte samples"),
+        (_riff(_fmt(3, 32), (b"data", _F32))[:-100], "truncated 'data' chunk"),
+        (_riff(_fmt(3, 32), (b"data", np.array([0, np.nan], "<f4").tobytes())),
+         "'data' chunk: samples must be finite"),
+    ], ids=["not-riff", "cut-header", "no-fmt", "stereo", "int8", "int24",
+            "int32", "partial-sample", "cut-data", "nan"])
+    def test_malformed_wav_names_the_file(self, tmp_path, wav, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(wav)
+        with pytest.raises(ValueError, match=message) as e:
+            read_wav(path)
+        assert str(e.value).startswith(f"{path}: ")
+
+    def test_usev_imports_no_scipy(self):
+        src = str(Path(usev.__file__).parents[1])
+        code = ("import sys, usev, usev.cli, usev.harness; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "[]"

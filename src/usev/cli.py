@@ -22,15 +22,8 @@ def _flag_value(label: str, parse, raw: str):
         raise ValueError(f"{label} {raw!r}: {e}") from None
 
 
-def _load_kv(path) -> dict:
-    return cfgmod.parse_kv_file(path) if path else {}
-
-
 def cmd_simulate(args) -> int:
-    kv = _load_kv(args.config)
-    sim = cfgmod.sim_config(kv)
-    if args.noisy:
-        sim.noisy = True
+    sim = cfgmod.load_config(args.config).sim
     occlusion = None
     if args.occlusion:
         occlusion = _flag_value("--occlusion", lambda r: cfgmod.parse_numbers(r, 2),
@@ -49,10 +42,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
-    kv = _load_kv(args.config)
-    train_cfg = cfgmod.train_config(kv)
-    model_cfg = None if train_cfg.init_checkpoint else cfgmod.model_config(kv)
-    result = harness.train(train_cfg, model_cfg, args.train_manifest,
+    run = cfgmod.load_config(args.config)
+    result = harness.train(run.train, run.model, args.train_manifest,
                            args.val_manifest, args.out)
     print(f"best val loss {result.best_val:.4f}; "
           f"checkpoint at {result.best_checkpoint}")
@@ -69,15 +60,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    kv = _load_kv(args.config)
-    train_cfg = cfgmod.train_config(kv)
-    model_cfg = cfgmod.model_config(kv)
+    run = cfgmod.load_config(args.config)
     if args.grid:
         grid = [_flag_value("--grid tuple", cfgmod.parse_weights, chunk)
                 for chunk in args.grid.split(";")]
     else:
         grid = list(harness.DEFAULT_WEIGHT_GRID)
-    harness.sweep_weights(train_cfg, model_cfg, grid, args.train_manifest,
+    harness.sweep_weights(run.train, run.model, grid, args.train_manifest,
                           args.val_manifest, args.out)
     print((Path(args.out) / "sweep.txt").read_text())
     return 0
@@ -101,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--occlusion", default=None, metavar="LO,HI",
                    help="viseme occlusion fraction range")
-    s.add_argument("--noisy", action="store_true", help="add background noise")
     s.add_argument("--overlapped", action="store_true",
                    help="highly overlapped pre-training style corpus; always "
                         "noisy at noise_snr_db, never occluded")

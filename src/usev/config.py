@@ -1,17 +1,19 @@
 """Plain-text key=value run configs.
 
-One file can carry simulation, model, and training keys together; each
-builder picks out the fields it knows, and a key that no builder knows is
-an error. Values are coerced while the file is parsed, by the type of the
-dataclass default: ints, floats, strict booleans, comma-separated tuples,
-loss weights and JSON objects.
+One file can carry simulation, model, and training keys together, and
+`load_config` reads it into one `RunConfig`: each dataclass takes the
+fields it knows, and a key that none knows is an error. Values are coerced
+while the file is parsed, by the type of the dataclass default: ints,
+floats, strict booleans, comma-separated tuples and loss weights. When
+`init_checkpoint` is set, the checkpoint's header fixes the model, so the
+loaded config carries no model of its own.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import difflib
-import json
 
 from .harness import TrainConfig, crop_samples
 from .losses import LossWeights
@@ -26,15 +28,23 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
-def parse_kv_file(path) -> dict:
-    """Parse a config file into {key: value}, each value coerced by the type
-    of its builder default and every builder checked on the result. Errors
-    name the file, and the line and the key where one is to blame. A
-    model-only key next to init_checkpoint is an error too."""
+@dataclasses.dataclass
+class RunConfig:
+    sim: SimConfig
+    model: UsevConfig | None  # None when init_checkpoint fixes the model
+    train: TrainConfig
+
+
+def load_config(path=None) -> RunConfig:
+    """The run config in `path`, or every default when path is None. Each
+    value is coerced by the type of its dataclass default and each
+    dataclass checked on the result, as is the training crop against the
+    model. Errors name the file, and the line and the key where one is to
+    blame. A model-only key next to init_checkpoint is an error too."""
     defaults = {f.name: getattr(cls(), f.name)
                 for cls in _BUILDERS for f in dataclasses.fields(cls)}
     out, lines = {}, {}
-    with open(path) as f:
+    with open(path) if path else contextlib.nullcontext(()) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -58,16 +68,20 @@ def parse_kv_file(path) -> dict:
         raise ValueError(f"{path}: line {lines[clash[0]]}: model key "
                          f"{clash[0]!r} next to init_checkpoint, whose "
                          "checkpoint fixes the model")
-    # Cross-field checks live in each builder's __post_init__; run them here,
-    # where the file is known. So does the training crop, unless a
+    # Cross-field checks live in each dataclass's __post_init__; run them
+    # here, where the file is known. So does the training crop, unless a
     # checkpoint's model replaces this file's, when train checks it.
     try:
-        built = {cls: _build(cls, out) for cls in _BUILDERS}
-        if not out.get("init_checkpoint"):
-            crop_samples(built[TrainConfig], built[UsevConfig])
+        sim, model, train = (
+            cls(**{f.name: out[f.name] for f in dataclasses.fields(cls)
+                   if f.name in out}) for cls in _BUILDERS)
+        if train.init_checkpoint:
+            model = None
+        else:
+            crop_samples(train, model)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
-    return out
+    return RunConfig(sim, model, train)
 
 
 def _coerce(default, raw: str):
@@ -83,11 +97,6 @@ def _coerce(default, raw: str):
         return parse_numbers(raw, len(default))
     if isinstance(default, LossWeights):
         return parse_weights(raw)
-    if isinstance(default, dict):
-        value = json.loads(raw)
-        if not isinstance(value, dict):
-            raise ValueError(f"expected a JSON object, got {raw!r}")
-        return value
     return raw
 
 
@@ -102,20 +111,3 @@ def parse_numbers(raw: str, width: int) -> tuple:
 def parse_weights(raw: str) -> LossWeights:
     """'alpha,beta,gamma,delta': exactly 4 finite numbers >= 0."""
     return LossWeights(*parse_numbers(raw, len(dataclasses.fields(LossWeights))))
-
-
-def _build(cls, kv: dict):
-    return cls(**{f.name: kv[f.name] for f in dataclasses.fields(cls)
-                  if f.name in kv})
-
-
-def sim_config(kv: dict) -> SimConfig:
-    return _build(SimConfig, kv)
-
-
-def model_config(kv: dict) -> UsevConfig:
-    return _build(UsevConfig, kv)
-
-
-def train_config(kv: dict) -> TrainConfig:
-    return _build(TrainConfig, kv)

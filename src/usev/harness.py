@@ -203,7 +203,9 @@ def train_step(cfg: TrainConfig, model: UsevNet, opt, crops, epoch: int,
 
 def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
           out_dir) -> TrainResult:
-    """Train one model; returns the best checkpoint and the logs."""
+    """Train one model, built from model_cfg or loaded from
+    cfg.init_checkpoint, whichever is given; returns the best checkpoint
+    and the logs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_records = _load_records(train_data)
@@ -211,15 +213,14 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
     if not train_records or not val_records:
         raise ValueError("empty training or validation set")
 
-    if cfg.init_checkpoint is not None:
-        model, meta = load_model(cfg.init_checkpoint)
-        if model_cfg is not None and model.cfg != model_cfg:
-            raise ValueError(
-                f"model config {model_cfg} conflicts with checkpoint config "
-                f"{model.cfg} from {cfg.init_checkpoint}")
+    # The checkpoint's header fixes its model, so a model config next to it
+    # could only disagree or repeat it.
+    if (model_cfg is None) == (cfg.init_checkpoint is None):
+        raise ValueError("need exactly one of a model config and an "
+                         "init_checkpoint")
+    if model_cfg is None:
+        model, _ = load_model(cfg.init_checkpoint)
     else:
-        if model_cfg is None:
-            raise ValueError("need a model config or an init checkpoint")
         model = UsevNet(model_cfg, seed=cfg.seed)
     _check_clips(model, train_records + val_records)
 
@@ -333,10 +334,15 @@ def evaluate(model_or_checkpoint, test_data, out_dir,
     return reports
 
 
-def sweep_weights(base_cfg: TrainConfig, model_cfg: UsevConfig, weight_grid,
-                  train_data, val_data, out_dir) -> list[dict]:
+def sweep_weights(base_cfg: TrainConfig, model_cfg: UsevConfig | None,
+                  weight_grid, train_data, val_data, out_dir) -> list[dict]:
     """Train one system per LossWeights entry, score its best.ckpt with
-    `evaluate` (no mixture baseline) and emit a comparison."""
+    `evaluate` (no mixture baseline) and emit a comparison. The weights
+    belong to the differentiated loss, so base_cfg must train that loss;
+    model_cfg is None when base_cfg.init_checkpoint fixes the model."""
+    if base_cfg.loss != "differentiated":
+        raise ValueError(f"a weight sweep trains loss = differentiated, "
+                         f"got loss = {base_cfg.loss!r}")
     weight_grid = list(weight_grid)
     if not weight_grid:
         raise ValueError("weight grid is empty")
@@ -350,7 +356,7 @@ def sweep_weights(base_cfg: TrainConfig, model_cfg: UsevConfig, weight_grid,
     val_records = _load_records(val_data)
     rows = []
     for i, weights in enumerate(weight_grid):
-        cfg = replace(base_cfg, weights=weights, loss="differentiated")
+        cfg = replace(base_cfg, weights=weights)
         result = train(cfg, model_cfg, train_records, val_records,
                        out / f"system{i}")
         report = evaluate(result.best_checkpoint, val_records,

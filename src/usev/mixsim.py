@@ -2,8 +2,10 @@
 
 A mixture clip is target speech (possibly absent) plus 1-2 SNR-scaled
 interference segments plus optional colored noise, with the ground-truth
-scenario track derived from the activity masks. The corpus planner steers
-each clip toward a sampled overlap bucket by searching interference
+scenario track derived from the activity masks. The corpus planner makes
+a clip target-absent at the fixed rate TA_PROB, setting its interference
+against `SimConfig.ta_reference_rms`; it steers every other clip toward an
+overlap bucket drawn by the fixed BUCKET_WEIGHTS, searching interference
 alignments over the activity masks, then verifies the bucket exactly.
 
 Per-clip randomness comes from (corpus seed, clip index), so generation
@@ -12,12 +14,12 @@ order and parallelism never change outputs.
 
 from __future__ import annotations
 
-import difflib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,12 +29,10 @@ from .scenario import (BUCKET_BOUNDS, BUCKETS, KINDS, ScenarioTrack,
                        clip_bucket, label_scenarios)
 from .synth import MIN_UTTERANCE_S, UtteranceBank, colored_noise
 
-# Default target-present bucket mix; conversational corpora skew toward
-# higher overlap, so the upper buckets carry more weight.
-_DEFAULT_BUCKET_WEIGHTS = {
-    "0%": 0.092, "(0,20]%": 0.064, "(20,40]%": 0.123,
-    "(40,60]%": 0.194, "(60,80]%": 0.224, "(80,100]%": 0.303,
-}
+TA_PROB = 0.05  # share of target-absent clips
+# Target-present overlap-bucket mix, in BUCKETS[1:] order; conversational
+# corpora skew toward higher overlap, so the upper buckets carry more weight.
+BUCKET_WEIGHTS = np.array([0.092, 0.064, 0.123, 0.194, 0.224, 0.303])
 
 _VISEME_MAGIC = b"VISM"
 _MAX_TRIES = 40  # planner draws per clip before the nearest bucket is kept
@@ -47,12 +47,12 @@ class SimConfig:
     n_utterances: int = 40
     utterance_s: tuple = (6.5, 9.5)
     clip_s: tuple = (4.0, 6.0)
-    ta_prob: float = 0.05
     snr_db: tuple = (-10.0, 10.0)
     noisy: bool = False
     noise_snr_db: tuple = (-5.0, 15.0)
-    ta_reference_rms: float = 0.1
-    bucket_weights: dict = field(default_factory=lambda: dict(_DEFAULT_BUCKET_WEIGHTS))
+    # Interference level of a target-absent clip, which has no target to
+    # set it against.
+    ta_reference_rms: ClassVar[float] = 0.1
 
     def __post_init__(self):
         for name in ("sample_rate", "viseme_fps"):
@@ -70,26 +70,11 @@ class SimConfig:
         if self.clip_s[0] < 1.0 / self.viseme_fps:
             raise ValueError(f"clip_s must start at or above one viseme frame "
                              f"({1.0 / self.viseme_fps} s), got {self.clip_s[0]}")
-        if not 0.0 < self.ta_reference_rms < math.inf:
-            raise ValueError(f"ta_reference_rms must be finite and positive, "
-                             f"got {self.ta_reference_rms}")
         if self.utterance_s[0] < self.clip_s[1]:
             raise ValueError("utterances must be at least as long as the longest clip")
         if self.utterance_s[0] < MIN_UTTERANCE_S:
             raise ValueError(f"utterance_s must start at or above "
                              f"{MIN_UTTERANCE_S} s")
-        if not 0.0 <= self.ta_prob <= 1.0:
-            raise ValueError("ta_prob must lie in [0, 1]")
-        for name, w in self.bucket_weights.items():
-            if name not in BUCKET_BOUNDS:
-                near = difflib.get_close_matches(name, BUCKET_BOUNDS, n=1)
-                hint = f"; did you mean {near[0]!r}?" if near else ""
-                raise ValueError(f"unknown bucket_weights key {name!r}{hint}")
-            if not isinstance(w, (int, float)) or not 0.0 <= w < math.inf:
-                raise ValueError(f"bucket_weights[{name!r}] must be a finite "
-                                 f"number >= 0, got {w!r}")
-        if not sum(self.bucket_weights.values()) > 0.0:
-            raise ValueError("bucket_weights must not all be zero")
 
     @property
     def samples_per_frame(self) -> int:
@@ -331,7 +316,8 @@ def _bucket_distance(actual: str, desired: str) -> int:
 
 
 def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
-    """Draw a clip plan whose overlap bucket follows cfg.bucket_weights."""
+    """Draw a clip plan: target-absent at TA_PROB, otherwise aimed at an
+    overlap bucket drawn by BUCKET_WEIGHTS."""
     spf = cfg.samples_per_frame
     clip_len = int(round(rng.uniform(*cfg.clip_s) * cfg.viseme_fps)) * spf
 
@@ -343,7 +329,7 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
         return MixtureSpec(target, crop, sources, crops, offsets, snrs, noise,
                            target is None, clip_len, int(rng.integers(2**62)))
 
-    if rng.random() < cfg.ta_prob:  # target absent
+    if rng.random() < TA_PROB:  # target absent
         n_interf = int(rng.integers(1, 3))
         parts = []
         for _ in range(_MAX_TRIES):
@@ -363,8 +349,8 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
         return plan(parts)
 
     names = BUCKETS[1:]
-    weights = np.array([cfg.bucket_weights.get(n, 0.0) for n in names])
-    desired = names[int(rng.choice(len(names), p=weights / weights.sum()))]
+    desired = names[int(rng.choice(len(names),
+                                   p=BUCKET_WEIGHTS / BUCKET_WEIGHTS.sum()))]
     lo, hi = BUCKET_BOUNDS[desired]
     prefer = {"(80,100]%": "dense", "0%": "sparse", "(0,20]%": "sparse"}.get(desired)
     n_interf = 1 if desired in ("0%", "(80,100]%") else int(rng.integers(1, 3))
@@ -493,6 +479,9 @@ def read_visemes(path):
             raise ValueError(f"{path}: not a viseme stream file")
         n_frames, dim, fps = struct.unpack(
             "<III", audio_io.read_exact(f, 12, path, "viseme header"))
+        if not n_frames or not fps:
+            raise ValueError(f"{path}: viseme header says {n_frames} frames "
+                             f"at {fps} fps; both must be positive")
         payload = audio_io.read_exact(f, 4 * n_frames * dim, path, "viseme payload")
         audio_io.expect_end(f, path)
     data = np.frombuffer(payload, dtype="<f4")

@@ -28,10 +28,10 @@ def test_simulate_stats_round_trip(tmp_path, capsys):
 def test_simulate_with_occlusion_flag(tmp_path):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("clip_s = 1.0,1.4\nutterance_s = 3.0,4.0\n"
-                   "n_utterances = 10\nn_speakers = 5\n")
+                   "n_utterances = 10\nn_speakers = 5\nnoisy = true\n")
     out = tmp_path / "corpus"
     assert run(["simulate", "--config", cfg, "--out", out, "--count", 2,
-                "--seed", 6, "--occlusion", "0.4,0.6", "--noisy"]) == 0
+                "--seed", 6, "--occlusion", "0.4,0.6"]) == 0
     rows = read_manifest(out / "manifest.jsonl")
     assert any(r["occlusion_spans"] for r in rows)
     assert all(r["noise_snr_db"] is not None for r in rows)
@@ -151,16 +151,6 @@ SIM_OK = "clip_s = 1.0,1.4\nutterance_s = 3.0,4.0\n"
     ("simulate", SIM_OK + "noisy = 2\n", "'noisy': expected a boolean"),
     ("simulate", "clip_s = 1.0\nutterance_s = 3.0,4.0\n",
      "'clip_s': expected 2 comma-separated numbers"),
-    ("simulate", SIM_OK + "bucket_weights = [1, 2]\n",
-     "'bucket_weights': expected a JSON object"),
-    ("simulate", SIM_OK + 'bucket_weights = {"(80,100]": 5.0, "0%": 1.0}\n',
-     "unknown bucket_weights key '(80,100]'; did you mean '(80,100]%'?"),
-    ("simulate", SIM_OK + 'bucket_weights = {"0%": -1, "(0,20]%": 2}\n',
-     "bucket_weights['0%'] must be a finite number >= 0, got -1"),
-    ("simulate", SIM_OK + 'bucket_weights = {"(0,20]%": Infinity}\n',
-     "bucket_weights['(0,20]%'] must be a finite number >= 0, got inf"),
-    ("simulate", SIM_OK + 'bucket_weights = {"0%": 0, "(0,20]%": 0.0}\n',
-     "bucket_weights must not all be zero"),
     ("train", "weights = 1,1,1\n",
      "'weights': expected 4 comma-separated numbers"),
     ("train", "weights = nan,1,1,1\n",
@@ -180,6 +170,14 @@ SIM_OK = "clip_s = 1.0,1.4\nutterance_s = 3.0,4.0\n"
      "line 3: unknown config key 'min_utterance_s'"),
     ("simulate", SIM_OK + "speech_span_s = 0.5,1.8\n",
      "line 3: unknown config key 'speech_span_s'"),
+    # The simulator's fixed target-absent rate, reference level and
+    # overlap-bucket mix are module constants, not settings.
+    ("simulate", SIM_OK + 'bucket_weights = {"0%": 1.0}\n',
+     "line 3: unknown config key 'bucket_weights'"),
+    ("simulate", SIM_OK + "ta_prob = 0.5\n",
+     "line 3: unknown config key 'ta_prob'"),
+    ("simulate", SIM_OK + "ta_reference_rms = 0.2\n",
+     "line 3: unknown config key 'ta_reference_rms'"),
     ("train", "lr0 = 0.01\nencoder_dim = 32\ninit_checkpoint = run/best.ckpt\n",
      "line 2: model key 'encoder_dim' next to init_checkpoint"),
     ("simulate", SIM_OK + "n_speakers = 0\n", "n_speakers must be at least 2, got 0"),
@@ -190,8 +188,6 @@ SIM_OK = "clip_s = 1.0,1.4\nutterance_s = 3.0,4.0\n"
      "snr_db must be a finite range lo,hi with lo <= hi, got nan, 1.0"),
     ("simulate", SIM_OK + "noise_snr_db = 5,-5\n",
      "noise_snr_db must be a finite range lo,hi with lo <= hi, got 5.0, -5.0"),
-    ("simulate", SIM_OK + "ta_reference_rms = inf\n",
-     "ta_reference_rms must be finite and positive, got inf"),
     ("simulate", "clip_s = -2,1\nutterance_s = 3.0,4.0\n",
      "clip_s must start at or above one viseme frame (0.04 s), got -2.0"),
     ("simulate", "clip_s = 0,0.01\nutterance_s = 3.0,4.0\n",
@@ -397,3 +393,51 @@ def test_clip_of_another_viseme_width_than_the_model_gives_param_exit_code(
     err = capsys.readouterr().err
     assert "clip clip-000000: viseme width 4" in err
     assert f"the model takes {model_dim}" in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("header", [(0, 8, 25), (0, 8, 0), (5, 8, 0)],
+                         ids=["no-frames", "no-frames-no-fps", "no-fps"])
+def test_viseme_header_without_frames_or_fps_gives_param_exit_code(
+        tmp_path, capsys, command, header):
+    import struct
+
+    manifest = _small_corpus(tmp_path / "corpus")
+    path = tmp_path / "corpus" / read_manifest(manifest)[1]["visemes_path"]
+    path.write_bytes(b"VISM" + struct.pack("<III", *header)
+                     + bytes(4 * header[0] * header[1]))
+    assert run(_train_or_evaluate(command, tmp_path, manifest)) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "line 2" in err and str(path) in err
+    assert f"{header[0]} frames at {header[2]} fps" in err
+
+
+def test_sweep_from_checkpoint_of_another_model(tmp_path, capsys):
+    # The checkpoint's header fixes the model; the sweep must not hold it
+    # against the default model of a config that names none.
+    from usev.gradcheck import micro_config
+    from usev.harness import save_model
+    from usev.model import UsevNet
+
+    manifest = _small_corpus(tmp_path / "corpus", visual_dim=2)
+    ckpt = tmp_path / "pre.ckpt"
+    save_model(ckpt, UsevNet(micro_config()))
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"init_checkpoint = {ckpt}\nmax_epochs = 1\n"
+                   "batch_size = 2\nclip_truncate_s = 0.5\n")
+    assert run(["sweep", "--config", cfg, "--train-manifest", manifest,
+                "--val-manifest", manifest, "--out", tmp_path / "sweep",
+                "--grid", "0.005,1,1,0.005"]) == 0
+    assert (tmp_path / "sweep" / "system0" / "best.ckpt").exists()
+    assert "0.005-1.0-1.0-0.005" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("loss", ["sdr", "uniform"])
+def test_sweep_of_another_loss_gives_param_exit_code(tmp_path, capsys, loss):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"loss = {loss}\n")
+    missing = tmp_path / "none.jsonl"
+    assert run(["sweep", "--config", cfg, "--train-manifest", missing,
+                "--val-manifest", missing, "--out", tmp_path / "o"]) == 2
+    assert f"got loss = {loss!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -8,7 +8,7 @@ import pytest
 
 from usev import autodiff as ad
 from usev.checkpoint import load_checkpoint
-from usev.config import model_config, parse_kv_file, sim_config, train_config
+from usev.config import load_config
 from usev.dsp import AudioClip
 from usev.harness import (DEFAULT_WEIGHT_GRID, LOSSES, TrainConfig,
                           _clip_loss_graph, _random_crop, crop_samples,
@@ -130,8 +130,14 @@ class TestTrainLoop:
                            bottleneck=4, repeats=1, chunk=8, vtcn_repeats=1,
                            visual_dim=8)
         bad = TrainConfig(init_checkpoint=str(r2.best_checkpoint))
-        with pytest.raises(ValueError):
-            train(bad, other, tiny_records, tiny_records, tmp_path / "s3")
+        # The checkpoint fixes the model: a config next to it is rejected,
+        # whether it disagrees or repeats it, and so is neither.
+        for model_cfg in (other, TINY_MODEL):
+            with pytest.raises(ValueError, match="exactly one"):
+                train(bad, model_cfg, tiny_records, tiny_records,
+                      tmp_path / "s3")
+        with pytest.raises(ValueError, match="exactly one"):
+            train(stage2, None, tiny_records, tiny_records, tmp_path / "s3")
 
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -389,6 +395,14 @@ class TestSweep:
         for kind in ("QQ", "SQ", "SS", "QS"):
             assert row[kind] == report.kind_means.get(kind)
 
+    @pytest.mark.parametrize("loss", ["sdr", "uniform"])
+    def test_other_loss_rejected_before_any_training(self, tiny_records,
+                                                     tmp_path, loss):
+        with pytest.raises(ValueError, match=f"got loss = '{loss}'"):
+            sweep_weights(TrainConfig(loss=loss), TINY_MODEL, [LossWeights()],
+                          tiny_records, tiny_records, tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
     def test_default_grid_contains_published_tuple(self):
         assert LossWeights(0.005, 1.0, 1.0, 0.005) in DEFAULT_WEIGHT_GRID
         assert all(isinstance(w, LossWeights) for w in DEFAULT_WEIGHT_GRID)
@@ -439,16 +453,29 @@ class TestKvConfig:
             "loss = differentiated\n"
             "weights = 0.005,1,1,0.005\n"
             "patience = 4\n")
-        kv = parse_kv_file(tmp_path / "run.cfg")
-        sim = sim_config(kv)
-        model = model_config(kv)
-        trn = train_config(kv)
-        assert sim.noisy is True and sim.clip_s == (0.6, 0.8)
-        assert model == TINY_MODEL
-        assert trn.lr0 == 0.0005 and trn.patience == 4
-        assert trn.weights == LossWeights(0.005, 1, 1, 0.005)
+        run = load_config(tmp_path / "run.cfg")
+        assert run.sim.noisy is True and run.sim.clip_s == (0.6, 0.8)
+        assert run.model == TINY_MODEL
+        assert run.train.lr0 == 0.0005 and run.train.patience == 4
+        assert run.train.weights == LossWeights(0.005, 1, 1, 0.005)
+
+    def test_no_file_gives_defaults(self):
+        run = load_config()
+        assert (run.sim, run.model, run.train) == (SimConfig(), UsevConfig(),
+                                                  TrainConfig())
+
+    def test_init_checkpoint_leaves_model_to_checkpoint(self, tmp_path):
+        # The checkpoint need not exist yet: train reads it, and checks the
+        # crop against its model.
+        (tmp_path / "run.cfg").write_text("init_checkpoint = pre.ckpt\n"
+                                          "sample_rate = 16000\n"
+                                          "clip_truncate_s = 0.01\n")
+        run = load_config(tmp_path / "run.cfg")
+        assert run.model is None
+        assert run.sim.sample_rate == 16000
+        assert run.train.init_checkpoint == "pre.ckpt"
 
     def test_bad_line_reports_number(self, tmp_path):
         (tmp_path / "run.cfg").write_text("lr0 = 1\nnonsense line\n")
         with pytest.raises(ValueError, match="line 2"):
-            parse_kv_file(tmp_path / "run.cfg")
+            load_config(tmp_path / "run.cfg")

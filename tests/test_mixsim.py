@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -528,3 +532,21 @@ def test_colored_noise_shapes_spectrum():
     hi = slice(3000, 4000)
     assert (spec_tilt[lo].mean() / spec_tilt[hi].mean()) > \
         (spec_flat[lo].mean() / spec_flat[hi].mean())
+
+
+def test_benchmark_workloads_read_their_sim_config():
+    # perfbench's checks read these SimConfig attributes of every workload,
+    # so a SimConfig change that drops one must fail here, not in the bench.
+    root = Path(__file__).parents[1]
+    code = ("import workloads\n"
+            "for w in workloads.WORKLOADS.values():\n"
+            "    print(w.name, w.sim.ta_reference_rms, w.sim.viseme_fps)\n")
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    rows = [line.split() for line in out.splitlines()]
+    assert [name for name, _, _ in rows] == ["train_desk", "evaluate_full",
+                                             "corpus"]
+    for _, rms, fps in rows:
+        assert float(rms) == SimConfig.ta_reference_rms and int(fps) > 0

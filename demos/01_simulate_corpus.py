@@ -6,7 +6,7 @@ track of a single clip, and the corpus-level composition table.
 
 import numpy as np
 
-from usev.dsp import energy, measure_snr_db
+from usev.dsp import VISEME_FPS, energy, measure_snr_db
 from usev.mixsim import SimConfig, corpus_stats, iter_corpus, write_corpus
 from usev.scenario import classify_clip, clip_bucket, overlap_ratio
 from usev.synth import UtteranceBank
@@ -23,7 +23,7 @@ print(f"utterance 0: {u.clip.duration_s:.2f} s, speaker {u.speaker_id}, "
 print(f"  inactive spans carry exactly zero energy: "
       f"{energy(u.clip.samples[~u.activity]) == 0.0}")
 print(f"  viseme stream: {u.viseme_frames.shape[0]} frames x "
-      f"{u.viseme_frames.shape[1]} features at {cfg.viseme_fps} fps")
+      f"{u.viseme_frames.shape[1]} features at the fixed {VISEME_FPS} fps")
 
 print("\nfirst three simulated clips:")
 for rec in iter_corpus(cfg, 3, seed=42):

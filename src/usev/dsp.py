@@ -9,6 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Lip-movement (viseme) frames per second; every sample rate is a multiple.
+VISEME_FPS = 25
+
 
 def _samples(x) -> np.ndarray:
     """Coerce an AudioClip or array-like to a 1-D float64 array."""

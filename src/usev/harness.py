@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import mixsim
 from .checkpoint import load_checkpoint, save_checkpoint
-from .dsp import AudioClip
+from .dsp import VISEME_FPS, AudioClip
 from .losses import (LossWeights, tensor_loss_differentiated, tensor_loss_sdr,
                      tensor_loss_uniform)
 from .metrics import ReportTables, eval_report, write_report
@@ -129,7 +129,7 @@ def crop_samples(cfg: TrainConfig, model_cfg: UsevConfig) -> int:
     """Training crop length: clip_truncate_s floored to whole viseme frames,
     which must leave at least one."""
     sr = model_cfg.sample_rate
-    spf = sr // model_cfg.viseme_fps
+    spf = sr // VISEME_FPS
     n = int(round(cfg.clip_truncate_s * sr)) // spf * spf
     if n == 0:
         raise ValueError(f"clip_truncate_s {cfg.clip_truncate_s} s is shorter "
@@ -205,9 +205,7 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
           out_dir) -> TrainResult:
     """Train one model, built from model_cfg or loaded from
     cfg.init_checkpoint, whichever is given; returns the best checkpoint
-    and the logs."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    and the logs. `out_dir` is made once every input has passed its checks."""
     train_records = _load_records(train_data)
     val_records = _load_records(val_data)
     if not train_records or not val_records:
@@ -224,8 +222,10 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
         model = UsevNet(model_cfg, seed=cfg.seed)
     _check_clips(model, train_records + val_records)
 
-    spf = model.cfg.sample_rate // model.cfg.viseme_fps
+    spf = model.cfg.sample_rate // VISEME_FPS
     n_trunc = crop_samples(cfg, model.cfg)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng([cfg.seed, 99])
     opt = ad.Adam(model.trainable_params(), lr=cfg.lr0)
 
@@ -315,17 +315,15 @@ def extraction_pairs(model: UsevNet, records):
     return pairs
 
 
-def evaluate(model_or_checkpoint, test_data, out_dir,
+def evaluate(checkpoint, test_data, out_dir,
              mixture_baseline: bool = True) -> dict[str, ReportTables]:
-    """Evaluate a checkpoint (or live model) on full clips; write reports."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if isinstance(model_or_checkpoint, (str, Path)):
-        model, _ = load_model(model_or_checkpoint)
-    else:
-        model = model_or_checkpoint
+    """Evaluate a checkpoint on full clips and write the reports, making
+    `out_dir` once the checkpoint and the clips have passed their checks."""
+    model, _ = load_model(checkpoint)
     records = _load_records(test_data)
     _check_clips(model, records)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     reports = {"model": eval_report(extraction_pairs(model, records))}
     write_report(reports["model"], out / "model")
     if mixture_baseline:
@@ -350,10 +348,10 @@ def sweep_weights(base_cfg: TrainConfig, model_cfg: UsevConfig | None,
         if not isinstance(weights, LossWeights):
             raise ValueError(f"weight grid entry {i} {weights!r}: expected "
                              "LossWeights")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     train_records = _load_records(train_data)
     val_records = _load_records(val_data)
+    # The first train call makes `out`, once it has checked every input.
+    out = Path(out_dir)
     rows = []
     for i, weights in enumerate(weight_grid):
         cfg = replace(base_cfg, weights=weights)

@@ -7,6 +7,7 @@ a clip target-absent at the fixed rate TA_PROB, setting its interference
 against `SimConfig.ta_reference_rms`; it steers every other clip toward an
 overlap bucket drawn by the fixed BUCKET_WEIGHTS, searching interference
 alignments over the activity masks, then verifies the bucket exactly.
+Clips span whole frames of the fixed viseme rate dsp.VISEME_FPS.
 
 Per-clip randomness comes from (corpus seed, clip index), so generation
 order and parallelism never change outputs.
@@ -24,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import audio_io
-from .dsp import AudioClip, snr_gain
+from .dsp import VISEME_FPS, AudioClip, snr_gain
 from .scenario import (BUCKET_BOUNDS, BUCKETS, KINDS, ScenarioTrack,
                        clip_bucket, label_scenarios)
 from .synth import MIN_UTTERANCE_S, UtteranceBank, colored_noise
@@ -41,7 +42,6 @@ _MAX_TRIES = 40  # planner draws per clip before the nearest bucket is kept
 @dataclass
 class SimConfig:
     sample_rate: int = 8000
-    viseme_fps: int = 25
     visual_dim: int = 8
     n_speakers: int = 10
     n_utterances: int = 40
@@ -53,13 +53,12 @@ class SimConfig:
     # Interference level of a target-absent clip, which has no target to
     # set it against.
     ta_reference_rms: ClassVar[float] = 0.1
+    viseme_fps: ClassVar[int] = VISEME_FPS  # a fixed rate, not a setting
 
     def __post_init__(self):
-        for name in ("sample_rate", "viseme_fps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.sample_rate % self.viseme_fps:
-            raise ValueError("sample_rate must be a multiple of viseme_fps")
+        if self.sample_rate <= 0 or self.sample_rate % VISEME_FPS:
+            raise ValueError(f"sample_rate must be a positive multiple of "
+                             f"{VISEME_FPS}, got {self.sample_rate}")
         if self.n_speakers < 2:
             raise ValueError(f"n_speakers must be at least 2, got {self.n_speakers}")
         for name in ("utterance_s", "clip_s", "snr_db", "noise_snr_db"):
@@ -67,9 +66,9 @@ class SimConfig:
             if not -math.inf < lo <= hi < math.inf:
                 raise ValueError(f"{name} must be a finite range lo,hi with "
                                  f"lo <= hi, got {lo}, {hi}")
-        if self.clip_s[0] < 1.0 / self.viseme_fps:
+        if self.clip_s[0] < 1.0 / VISEME_FPS:
             raise ValueError(f"clip_s must start at or above one viseme frame "
-                             f"({1.0 / self.viseme_fps} s), got {self.clip_s[0]}")
+                             f"({1.0 / VISEME_FPS} s), got {self.clip_s[0]}")
         if self.utterance_s[0] < self.clip_s[1]:
             raise ValueError("utterances must be at least as long as the longest clip")
         if self.utterance_s[0] < MIN_UTTERANCE_S:
@@ -78,7 +77,7 @@ class SimConfig:
 
     @property
     def samples_per_frame(self) -> int:
-        return self.sample_rate // self.viseme_fps
+        return self.sample_rate // VISEME_FPS
 
 
 @dataclass
@@ -319,7 +318,7 @@ def plan_clip(rng, bank: UtteranceBank, cfg: SimConfig) -> MixtureSpec:
     """Draw a clip plan: target-absent at TA_PROB, otherwise aimed at an
     overlap bucket drawn by BUCKET_WEIGHTS."""
     spf = cfg.samples_per_frame
-    clip_len = int(round(rng.uniform(*cfg.clip_s) * cfg.viseme_fps)) * spf
+    clip_len = int(round(rng.uniform(*cfg.clip_s) * VISEME_FPS)) * spf
 
     def plan(parts, target=None, crop=(0, 0)) -> MixtureSpec:
         """The spec of these (source, crop, offset, snr_db) parts; draws the
@@ -464,30 +463,32 @@ def iter_overlapped_corpus(cfg: SimConfig, count: int, seed: int):
 
 # -- viseme stream files ---------------------------------------------------------------
 
-def write_visemes(path, frames: np.ndarray, fps: int) -> None:
+def write_visemes(path, frames: np.ndarray) -> None:
+    """Magic; frames, dim and VISEME_FPS as uint32; the float32 frames."""
     frames = np.asarray(frames, dtype=np.float64)
     with open(path, "wb") as f:
         f.write(_VISEME_MAGIC)
-        f.write(struct.pack("<III", frames.shape[0], frames.shape[1], fps))
+        f.write(struct.pack("<III", frames.shape[0], frames.shape[1], VISEME_FPS))
         f.write(frames.astype("<f4").tobytes())
 
 
-def read_visemes(path):
+def read_visemes(path) -> np.ndarray:
+    """The frames [F, D_v]; a header of no frames or not at VISEME_FPS is an error."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _VISEME_MAGIC:
             raise ValueError(f"{path}: not a viseme stream file")
         n_frames, dim, fps = struct.unpack(
             "<III", audio_io.read_exact(f, 12, path, "viseme header"))
-        if not n_frames or not fps:
-            raise ValueError(f"{path}: viseme header says {n_frames} frames "
-                             f"at {fps} fps; both must be positive")
+        if not n_frames or fps != VISEME_FPS:
+            raise ValueError(f"{path}: viseme header says {n_frames} frames at "
+                             f"{fps} fps; expected 1 or more frames at {VISEME_FPS} fps")
         payload = audio_io.read_exact(f, 4 * n_frames * dim, path, "viseme payload")
         audio_io.expect_end(f, path)
     data = np.frombuffer(payload, dtype="<f4")
     if not np.isfinite(data).all():
         raise ValueError(f"{path}: viseme payload holds a non-finite value")
-    return data.reshape(n_frames, dim).astype(np.float64), int(fps)
+    return data.reshape(n_frames, dim).astype(np.float64)
 
 
 # -- manifests ----------------------------------------------------------------------------
@@ -602,7 +603,7 @@ def load_record(row: dict, base_dir) -> MixtureRecord:
     base = Path(base_dir)
     mixture = audio_io.read_wav(base / row["mixture_path"])
     target = audio_io.read_wav(base / row["target_path"])
-    visemes, fps = read_visemes(base / row["visemes_path"])
+    visemes = read_visemes(base / row["visemes_path"])
     rate, length = row["sample_rate"], row["clip_len"]
     for k, clip in (("mixture_path", mixture), ("target_path", target)):
         if (clip.sample_rate, len(clip)) != (rate, length):
@@ -610,12 +611,12 @@ def load_record(row: dict, base_dir) -> MixtureRecord:
                 f"field {k!r}: {base / row[k]} holds {len(clip)} samples at "
                 f"{clip.sample_rate} Hz; the row says clip_len {length} at "
                 f"sample_rate {rate}")
-    frames = length * fps // rate
+    frames = length * VISEME_FPS // rate
     if len(visemes) != frames:
         raise ValueError(
             f"field 'visemes_path': {base / row['visemes_path']} holds "
             f"{len(visemes)} frames; clip_len {length} at {rate} Hz and "
-            f"{fps} fps needs {frames}")
+            f"{VISEME_FPS} fps needs {frames}")
     track = ScenarioTrack.from_triples(row["track"], row["clip_len"])
     return MixtureRecord(
         clip_id=row["clip_id"], mixture=mixture, target_truth=target,
@@ -644,8 +645,7 @@ def write_corpus(cfg: SimConfig, count: int, seed: int, out_dir,
         stem = f"audio/{record.clip_id}"
         audio_io.write_wav(out / f"{stem}.mix.wav", record.mixture)
         audio_io.write_wav(out / f"{stem}.target.wav", record.target_truth)
-        write_visemes(out / f"{stem}.visemes.bin", record.viseme_stream,
-                      cfg.viseme_fps)
+        write_visemes(out / f"{stem}.visemes.bin", record.viseme_stream)
         rows.append(record_row(record, f"{stem}.mix.wav", f"{stem}.target.wav",
                                f"{stem}.visemes.bin"))
     manifest = out / "manifest.jsonl"

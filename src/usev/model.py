@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .dsp import gather_frames
+from .dsp import VISEME_FPS, gather_frames
 
 
 @dataclass
@@ -30,19 +30,18 @@ class UsevConfig:
     chunk: int = 16  # K: chunk length (hop K/2)
     vtcn_repeats: int = 5
     visual_dim: int = 8  # D_v: viseme feature size
-    viseme_fps: int = 25
 
     def __post_init__(self):
         if self.kernel_len % 2 or self.kernel_len < 2:
             raise ValueError("encoder kernel_len must be even and positive")
         if self.chunk % 2 or self.chunk < 2:
             raise ValueError("chunk size must be even and positive")
-        for f in ("sample_rate", "encoder_dim", "bottleneck", "repeats",
-                  "vtcn_repeats", "visual_dim", "viseme_fps"):
+        for f in ("encoder_dim", "bottleneck", "repeats", "vtcn_repeats", "visual_dim"):
             if getattr(self, f) <= 0:
                 raise ValueError(f"{f} must be positive")
-        if self.sample_rate % self.viseme_fps:
-            raise ValueError("sample_rate must be a multiple of viseme_fps")
+        if self.sample_rate <= 0 or self.sample_rate % VISEME_FPS:
+            raise ValueError(f"sample_rate must be a positive multiple of "
+                             f"{VISEME_FPS}, got {self.sample_rate}")
 
     @property
     def hop(self) -> int:
@@ -234,7 +233,7 @@ class UsevNet:
             v = self._vtcn_block(v, f"vtcn{i}")
         # Nearest-neighbor upsampling onto the speech frame grid.
         step_s = self.cfg.hop / self.cfg.sample_rate
-        idx = np.minimum((np.arange(t_target) * step_s * self.cfg.viseme_fps)
+        idx = np.minimum((np.arange(t_target) * step_s * VISEME_FPS)
                          .astype(np.intp), frames.shape[0] - 1)
         return ad.index_select(v, axis=1, indices=idx)
 

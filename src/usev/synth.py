@@ -2,9 +2,9 @@
 
 An utterance is a sum of amplitude-modulated harmonic tones (speaker-specific
 fundamental, per-phoneme jitter) gated by an alternating speech/quiet
-activity pattern. Viseme frames at 25 fps are a function of the local audio
-envelope and the pseudo-phoneme index; quiet frames are exact zero vectors,
-as are quiet audio spans. Everything is a pure function of the seed.
+activity pattern. Viseme frames at dsp.VISEME_FPS are a function of the local
+audio envelope and the pseudo-phoneme index; quiet frames are exact zero
+vectors, as are quiet audio spans. Everything is a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dsp import AudioClip
+from .dsp import VISEME_FPS, AudioClip
 
 _N_PHONEMES = 20
 _PHONEME_S = (0.08, 0.25)
@@ -96,8 +96,8 @@ def gen_utterance(seed, duration_s: float, cfg, duty: float,
     """Synthesize one utterance; bit-identical for identical arguments.
 
     duty is the target fraction of active samples; duty >= 1 makes the whole
-    utterance active. cfg needs: sample_rate, viseme_fps, visual_dim and
-    n_speakers.
+    utterance active. cfg needs: sample_rate (a multiple of VISEME_FPS),
+    visual_dim and n_speakers; the viseme frames run at VISEME_FPS.
     """
     if duration_s < MIN_UTTERANCE_S:
         raise ValueError(
@@ -158,7 +158,7 @@ def gen_utterance(seed, duration_s: float, cfg, duty: float,
     audio[~activity] = 0.0
 
     # ceil(duration_s * fps) computed exactly on sample counts
-    spf = sr // cfg.viseme_fps
+    spf = sr // VISEME_FPS
     n_frames = -(-n // spf)
     # Each frame's envelope is the RMS of its samples, taken row by row so
     # that every mean sums exactly the samples the frame covers.
@@ -206,7 +206,7 @@ class UtteranceBank:
             rng = np.random.default_rng([self.seed, 1000 + i])
             duration = float(rng.uniform(*self.cfg.utterance_s))
             # Snap to the viseme-frame grid so crops stay frame-aligned.
-            frame_s = 1.0 / self.cfg.viseme_fps
+            frame_s = 1.0 / VISEME_FPS
             duration = max(MIN_UTTERANCE_S,
                            round(duration / frame_s) * frame_s)
             duty = 1.0 if self.fully_active else float(rng.uniform(0.35, 0.95))

@@ -13,7 +13,7 @@ import pytest
 
 from usev import autodiff as ad
 from usev.autodiff import chunk_geometry
-from usev.dsp import add_frames, gather_frames, measure_snr_db
+from usev.dsp import VISEME_FPS, add_frames, gather_frames, measure_snr_db
 from usev.gradcheck import MODEL_TOL, OP_CHECKS, OP_TOL, run_gradcheck
 from usev.harness import TrainConfig, learning_rate, train_step
 from usev.losses import (EPS as LOSS_EPS, LossWeights, loss_differentiated,
@@ -254,7 +254,7 @@ def test_criterion_5_structural_identities():
     net = UsevNet(cfg, seed=0)
     for n in (400, 555, 8000):
         x = rng.standard_normal(n)
-        spf = cfg.sample_rate // cfg.viseme_fps
+        spf = cfg.sample_rate // VISEME_FPS
         v = rng.uniform(0, 1, (max(1, -(-n // spf)), cfg.visual_dim))
         assert net.forward(x, v).shape == (n,)
     report(5, True, "adjoint <=1e-12, round trip <=1e-12, P formula, "

@@ -183,7 +183,11 @@ SIM_OK = "clip_s = 1.0,1.4\nutterance_s = 3.0,4.0\n"
     ("simulate", SIM_OK + "n_speakers = 0\n", "n_speakers must be at least 2, got 0"),
     ("simulate", SIM_OK + "n_speakers = -3\n",
      "n_speakers must be at least 2, got -3"),
-    ("simulate", SIM_OK + "viseme_fps = 0\n", "viseme_fps must be positive, got 0"),
+    # The viseme frame rate is the constant dsp.VISEME_FPS, not a setting.
+    ("simulate", SIM_OK + "viseme_fps = 25\n",
+     "line 3: unknown config key 'viseme_fps'"),
+    ("simulate", SIM_OK + "sample_rate = 8010\n",
+     "sample_rate must be a positive multiple of 25, got 8010"),
     ("simulate", SIM_OK + "snr_db = nan,1\n",
      "snr_db must be a finite range lo,hi with lo <= hi, got nan, 1.0"),
     ("simulate", SIM_OK + "noise_snr_db = 5,-5\n",
@@ -221,7 +225,7 @@ def test_malformed_config_gives_param_exit_code(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("damage", ["truncate", "trailing", "unknown_key",
-                                    "bad_shape", "float32"])
+                                    "bad_shape", "float32", "viseme_fps"])
 def test_malformed_checkpoint_gives_param_exit_code(tmp_path, capsys, damage):
     from usev.checkpoint import save_checkpoint
     from usev.gradcheck import micro_config
@@ -231,6 +235,8 @@ def test_malformed_checkpoint_gives_param_exit_code(tmp_path, capsys, damage):
     meta = {"model_config": dict(micro_config().__dict__)}
     if damage == "unknown_key":
         meta["model_config"]["kernal_len"] = 4
+    elif damage == "viseme_fps":  # a header written while the rate was a field
+        meta["model_config"]["viseme_fps"] = 25
     state = UsevNet(micro_config()).state_dict()
     if damage == "bad_shape":
         state["enc.w"] = state["enc.w"][..., :2]
@@ -250,6 +256,8 @@ def test_malformed_checkpoint_gives_param_exit_code(tmp_path, capsys, damage):
     assert str(ckpt) in err
     if damage == "float32":
         assert "unknown dtype code 0 for enc.w" in err
+    if damage == "viseme_fps":
+        assert "model_config fields ['viseme_fps'] are unknown" in err
 
 
 DELETE = object()  # the field is left out of the row
@@ -350,8 +358,7 @@ def test_clip_disagreeing_with_its_row_gives_param_exit_code(
     manifest = _small_corpus(tmp_path / "corpus")
     path = tmp_path / "corpus" / read_manifest(manifest)[1][field]
     if field == "visemes_path":
-        frames, fps = read_visemes(path)
-        write_visemes(path, frames[:-1], fps)
+        write_visemes(path, read_visemes(path)[:-1])
     else:
         clip = audio_io.read_wav(path)
         if field == "target_path":  # 640 samples short
@@ -396,8 +403,9 @@ def test_clip_of_another_viseme_width_than_the_model_gives_param_exit_code(
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
-@pytest.mark.parametrize("header", [(0, 8, 25), (0, 8, 0), (5, 8, 0)],
-                         ids=["no-frames", "no-frames-no-fps", "no-fps"])
+@pytest.mark.parametrize("header", [(0, 8, 25), (0, 8, 0), (5, 8, 0), (5, 8, 50)],
+                         ids=["no-frames", "no-frames-no-fps", "no-fps",
+                              "50-fps"])
 def test_viseme_header_without_frames_or_fps_gives_param_exit_code(
         tmp_path, capsys, command, header):
     import struct
@@ -441,3 +449,31 @@ def test_sweep_of_another_loss_gives_param_exit_code(tmp_path, capsys, loss):
                 "--val-manifest", missing, "--out", tmp_path / "o"]) == 2
     assert f"got loss = {loss!r}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "evaluate"])
+@pytest.mark.parametrize("missing", ["manifest", "checkpoint"])
+def test_missing_input_gives_io_exit_code_and_no_out_dir(tmp_path, command,
+                                                         missing):
+    # Every input is loaded before --out is made, so a failed run leaves
+    # no empty folder behind.
+    from usev.gradcheck import micro_config
+    from usev.harness import save_model
+    from usev.model import UsevNet
+
+    ckpt, manifest = tmp_path / "none.ckpt", tmp_path / "none.jsonl"
+    if missing == "manifest":
+        ckpt = tmp_path / "m.ckpt"
+        save_model(ckpt, UsevNet(micro_config()))
+    else:
+        manifest = _small_corpus(tmp_path / "corpus", visual_dim=2)
+    if command == "evaluate":
+        args = ["evaluate", "--checkpoint", ckpt, "--test-manifest", manifest]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"init_checkpoint = {ckpt}\nmax_epochs = 1\n")
+        args = [command, "--config", cfg, "--train-manifest", manifest,
+                "--val-manifest", manifest]
+    out = tmp_path / "o"
+    assert run(args + ["--out", out]) == 3
+    assert not out.exists()

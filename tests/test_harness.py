@@ -9,7 +9,7 @@ import pytest
 from usev import autodiff as ad
 from usev.checkpoint import load_checkpoint
 from usev.config import load_config
-from usev.dsp import AudioClip
+from usev.dsp import VISEME_FPS, AudioClip
 from usev.harness import (DEFAULT_WEIGHT_GRID, LOSSES, TrainConfig,
                           _clip_loss_graph, _random_crop, crop_samples,
                           evaluate, extraction_pairs, learning_rate,
@@ -36,7 +36,7 @@ def tiny_crops(records, n: int, seed: int = 0):
     """n seeded 0.5 s training crops, cycling through the records."""
     rng = np.random.default_rng(seed)
     n_trunc = crop_samples(TrainConfig(clip_truncate_s=0.5), TINY_MODEL)
-    spf = TINY_MODEL.sample_rate // TINY_MODEL.viseme_fps
+    spf = TINY_MODEL.sample_rate // VISEME_FPS
     return [_random_crop(rng, records[i % len(records)], n_trunc, spf)
             for i in range(n)]
 
@@ -333,7 +333,8 @@ class TestEvaluate:
 
     def test_report_matches_recomputation(self, tiny_records, tmp_path):
         net = UsevNet(TINY_MODEL, seed=8)
-        reports = evaluate(net, tiny_records, tmp_path)
+        save_model(tmp_path / "m.ckpt", net)
+        reports = evaluate(tmp_path / "m.ckpt", tiny_records, tmp_path)
         report = reports["model"]
         pairs = extraction_pairs(net, tiny_records)
         again = eval_report(pairs)
@@ -345,8 +346,8 @@ class TestEvaluate:
     def test_report_means_recomputable_from_dumped_records(self, tiny_records,
                                                            tmp_path):
         import csv
-        net = UsevNet(TINY_MODEL, seed=8)
-        report = evaluate(net, tiny_records, tmp_path)["model"]
+        save_model(tmp_path / "m.ckpt", UsevNet(TINY_MODEL, seed=8))
+        report = evaluate(tmp_path / "m.ckpt", tiny_records, tmp_path)["model"]
         with open(tmp_path / "model" / "records.csv") as f:
             rows = list(csv.DictReader(f))
         tp = [float(r["clip_metric"]) for r in rows if r["class"] == "TP"]

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from usev import synth
-from usev.dsp import energy, measure_snr_db
+from usev.dsp import VISEME_FPS, energy, measure_snr_db
 from usev.mixsim import (MixtureSpec, SimConfig, apply_occlusion, corpus_stats,
                          iter_corpus, iter_overlapped_corpus, load_record,
                          plan_clip, read_manifest, read_visemes, record_row,
@@ -72,7 +73,7 @@ def reference_utterance(seed, duration_s, cfg, duty, speaker):
     if rms > 0:
         audio *= 0.1 / rms
     audio[~activity] = 0.0
-    spf = sr // cfg.viseme_fps
+    spf = sr // VISEME_FPS
     basis = synth.viseme_basis(cfg.visual_dim)
     frames = np.zeros((-(-n // spf), cfg.visual_dim))
     for k in range(len(frames)):
@@ -385,9 +386,12 @@ class TestVisemeFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         frames = rng.uniform(0, 1, (37, 8))
-        write_visemes(tmp_path / "v.bin", frames, 25)
-        back, fps = read_visemes(tmp_path / "v.bin")
-        assert fps == 25
+        write_visemes(tmp_path / "v.bin", frames)
+        # The header records the fixed frame rate after the frame count and
+        # the width.
+        assert (tmp_path / "v.bin").read_bytes()[4:16] == \
+            struct.pack("<III", 37, 8, VISEME_FPS)
+        back = read_visemes(tmp_path / "v.bin")
         np.testing.assert_allclose(back, frames, atol=1e-6)
 
     def test_bad_magic(self, tmp_path):
@@ -397,14 +401,14 @@ class TestVisemeFiles:
 
     def test_truncated_payload(self, tmp_path):
         frames = np.ones((4, 3))
-        write_visemes(tmp_path / "v.bin", frames, 25)
+        write_visemes(tmp_path / "v.bin", frames)
         raw = (tmp_path / "v.bin").read_bytes()
         (tmp_path / "t.bin").write_bytes(raw[:-5])
         with pytest.raises(ValueError):
             read_visemes(tmp_path / "t.bin")
 
     def test_every_truncation_names_the_file(self, tmp_path):
-        write_visemes(tmp_path / "v.bin", np.ones((5, 3)), 25)
+        write_visemes(tmp_path / "v.bin", np.ones((5, 3)))
         raw = (tmp_path / "v.bin").read_bytes()
         cut = tmp_path / "t.bin"
         for k in range(len(raw)):
@@ -416,14 +420,14 @@ class TestVisemeFiles:
     def test_non_finite_payload_names_the_file(self, tmp_path, bad):
         frames = np.ones((5, 3))
         frames[2, 1] = bad
-        write_visemes(tmp_path / "v.bin", frames, 25)
+        write_visemes(tmp_path / "v.bin", frames)
         with pytest.raises(ValueError, match=re.escape(
                 f"{tmp_path / 'v.bin'}: viseme payload holds a non-finite")):
             read_visemes(tmp_path / "v.bin")
 
     @pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 4])
     def test_trailing_bytes_rejected(self, tmp_path, extra):
-        write_visemes(tmp_path / "v.bin", np.ones((5, 3)), 25)
+        write_visemes(tmp_path / "v.bin", np.ones((5, 3)))
         (tmp_path / "v.bin").write_bytes((tmp_path / "v.bin").read_bytes() + extra)
         with pytest.raises(ValueError, match="trailing bytes"):
             read_visemes(tmp_path / "v.bin")

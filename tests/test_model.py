@@ -3,6 +3,7 @@ import pytest
 
 from usev import autodiff as ad
 from usev.autodiff import chunk_geometry
+from usev.dsp import VISEME_FPS
 from usev.gradcheck import MODEL_TOL, micro_config, model_fd_check
 from usev.model import UsevConfig, UsevNet
 
@@ -12,7 +13,7 @@ DESK = UsevConfig()  # 8 kHz, N=64, B=16, R=2, K=16
 def tiny_inputs(cfg, n_frames=12, seed=0):
     rng = np.random.default_rng(seed)
     n = (n_frames - 1) * cfg.hop + cfg.kernel_len
-    spf = cfg.sample_rate // cfg.viseme_fps
+    spf = cfg.sample_rate // VISEME_FPS
     v_frames = max(1, -(-n // spf))
     return rng.standard_normal(n), rng.uniform(0, 1, (v_frames, cfg.visual_dim))
 

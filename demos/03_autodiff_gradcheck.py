@@ -13,12 +13,14 @@ from usev.gradcheck import format_report, run_gradcheck
 # A scalar loss through a few ops; backward fills .grad on the leaves.
 x = ad.Tensor(np.array([[1.0, -2.0], [0.5, 3.0]]), requires_grad=True)
 w = ad.Tensor(np.array([[0.2, 0.1], [-0.3, 0.4]]), requires_grad=True)
-z = ad.matmul(x, w)
+b = ad.Tensor(np.array([0.1, -0.2]), requires_grad=True)
+z = ad.linear(x, w, b)  # x @ w + b as one node
 loss = (ad.log(z * z + 1.0) * ad.relu(x)).sum()
 loss.backward()
 print("toy loss:", loss.item())
 print("dloss/dx:\n", x.grad)
 print("dloss/dw:\n", w.grad)
+print("dloss/db:", b.grad)
 
 # Chunk segmentation: split [B, T] into half-overlapping chunks and invert
 # exactly (overlap-add, halved: every sample lies under two chunks).

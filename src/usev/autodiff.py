@@ -2,10 +2,10 @@
 
 A Tensor records the operator that produced it and links to its parents, so
 the graph lives implicitly in the tensors. backward() on a scalar walks the
-graph once in reverse topological order; every node counts how many times its
-backward rule ran, which the test-suite uses to prove single-visit traversal.
-An interior node's gradient is freed as soon as its rule has passed it on, so
-after backward() only leaves hold gradients, and they accumulate over calls.
+graph once in reverse topological order, running each node's backward rule
+once. An interior node's gradient is freed as soon as its rule has passed it
+on, so after backward() only leaves hold gradients, and they accumulate over
+calls.
 
 Only the operators the extractor network needs are provided; there is no
 GPU path and broadcasting is limited to what numpy does elementwise.
@@ -28,8 +28,7 @@ BILSTM_THREAD_MACS = 2_000_000
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "op", "backward_runs")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -38,7 +37,6 @@ class Tensor:
         self._parents = ()
         self._backward_fn = None
         self.op = "leaf"
-        self.backward_runs = 0
 
     # -- structure ---------------------------------------------------------
 
@@ -76,7 +74,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
-                node.backward_runs += 1
                 node.grad = None
 
     # -- operator sugar ------------------------------------------------------
@@ -301,16 +298,22 @@ def ssum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 # -- linear algebra --------------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul is 2-D only, got {a.shape} @ {b.shape}")
+def linear(a, b, bias) -> Tensor:
+    """a [..., K] @ b [K, M] + bias as one node: a's leading axes are the
+    rows of one GEMM, and bias broadcasts against that [rows, M] product."""
+    a, b, bias = _coerce(a), _coerce(b), _coerce(bias)
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ValueError(f"linear needs [..., K] @ [K, M], got {a.shape} @ {b.shape}")
+    a2 = a.data.reshape(-1, a.shape[-1])
 
     def bwd(g):
-        _acc(a, g @ b.data.T)
-        _acc(b, a.data.T @ g)
+        g2 = g.reshape(a2.shape[0], -1)
+        _acc(a, (g2 @ b.data.T).reshape(a.shape))
+        _acc(b, a2.T @ g2)
+        _acc(bias, _unbroadcast(g2, bias.shape))
 
-    return _node(a.data @ b.data, (a, b), bwd, "matmul")
+    out = (a2 @ b.data + bias.data).reshape(a.shape[:-1] + (b.shape[1],))
+    return _node(out, (a, b, bias), bwd, "linear")
 
 
 def depthwise_conv1d(x, w, b) -> Tensor:

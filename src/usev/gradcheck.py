@@ -131,11 +131,13 @@ _OP_CASES = {
     "prelu": lambda rng: (
         {"x": _away_from_zero(rng, (4, 6)), "a": np.array(rng.uniform(0.1, 0.5))},
         lambda t, proj: proj(ad.prelu(t["x"], t["a"]))),
-    "matmul/linear": lambda rng: (
-        {"x": rng.standard_normal((4, 3)),
-         "w": rng.standard_normal((3, 5)),
-         "b": rng.standard_normal(5)},
-        lambda t, proj: proj(ad.matmul(t["x"], t["w"]) + t["b"])),
+    # Channels first, W [N, K] @ x [K, T] + b [N, 1]; DPRNN, x [T, P, K] @ W + b [N].
+    "linear": lambda rng: (
+        {"w": rng.standard_normal((5, 3)), "x": rng.standard_normal((3, 4)),
+         "b": rng.standard_normal((5, 1)), "x3": rng.standard_normal((3, 2, 4)),
+         "w3": rng.standard_normal((4, 5)), "b3": rng.standard_normal(5)},
+        lambda t, proj: proj(ad.linear(t["w"], t["x"], t["b"]))
+        + proj(ad.linear(t["x3"], t["w3"], t["b3"]))),
     "depthwise_conv1d": lambda rng: (
         {"x": rng.standard_normal((4, 9)),
          "w": rng.standard_normal((4, 1, 5)),

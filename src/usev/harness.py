@@ -321,6 +321,9 @@ def evaluate(checkpoint, test_data, out_dir,
     `out_dir` once the checkpoint and the clips have passed their checks."""
     model, _ = load_model(checkpoint)
     records = _load_records(test_data)
+    if not records:
+        where = f"{test_data}: " if isinstance(test_data, (str, Path)) else ""
+        raise ValueError(f"{where}empty test set")
     _check_clips(model, records)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -181,17 +181,16 @@ class UsevNet:
 
     def _vtcn_block(self, x, prefix: str) -> Tensor:
         t = self._layer_norm(ad.relu(x), f"{prefix}.ln1")
-        t = ad.matmul(self.params[f"{prefix}.lin1.w"], t) + self.params[f"{prefix}.lin1.b"]
+        t = ad.linear(self.params[f"{prefix}.lin1.w"], t, self.params[f"{prefix}.lin1.b"])
         t = self._layer_norm(ad.relu(t), f"{prefix}.ln2")
         t = ad.depthwise_conv1d(t, self.params[f"{prefix}.conv.w"],
                                 self.params[f"{prefix}.conv.b"])
         t = self._layer_norm(ad.relu(t), f"{prefix}.ln3")
-        t = ad.matmul(self.params[f"{prefix}.lin2.w"], t) + self.params[f"{prefix}.lin2.b"]
+        t = ad.linear(self.params[f"{prefix}.lin2.w"], t, self.params[f"{prefix}.lin2.b"])
         return x + t
 
     def _dprnn_half(self, chunks, prefix: str, intra: bool) -> Tensor:
         # chunks: [B, K, P]; recur over K (intra) or P (inter).
-        b, k, p = chunks.shape
         seq = ad.transpose(chunks, (1, 2, 0) if intra else (2, 1, 0))
         pr = self.params
         out = ad.bilstm(seq,
@@ -199,10 +198,7 @@ class UsevNet:
                         pr[f"{prefix}.lstm.b_f"],
                         pr[f"{prefix}.lstm.wx_b"], pr[f"{prefix}.lstm.wh_b"],
                         pr[f"{prefix}.lstm.b_b"])
-        t_len, batch, feat = out.shape
-        flat = ad.reshape(out, (t_len * batch, feat))
-        flat = ad.matmul(flat, pr[f"{prefix}.lin.w"]) + pr[f"{prefix}.lin.b"]
-        back = ad.reshape(flat, (t_len, batch, b))
+        back = ad.linear(out, pr[f"{prefix}.lin.w"], pr[f"{prefix}.lin.b"])
         back = ad.transpose(back, (2, 0, 1) if intra else (2, 1, 0))
         return chunks + self._layer_norm(back, f"{prefix}.ln")
 
@@ -215,10 +211,9 @@ class UsevNet:
         x = np.asarray(samples, dtype=np.float64)
         self.cfg.num_frames(len(x))  # raises on too-short input
         frames = gather_frames(x, self.cfg.kernel_len, self.cfg.hop)  # [T, L]
-        n = self.cfg.encoder_dim
-        w = ad.reshape(self.params["enc.w"], (n, self.cfg.kernel_len))
-        b = ad.reshape(self.params["enc.b"], (n, 1))
-        return ad.relu(ad.matmul(w, Tensor(frames.T)) + b)
+        w = ad.reshape(self.params["enc.w"], (-1, self.cfg.kernel_len))
+        b = ad.reshape(self.params["enc.b"], (-1, 1))
+        return ad.relu(ad.linear(w, Tensor(frames.T), b))
 
     def visual_encode(self, viseme_frames, t_target: int) -> Tensor:
         """Viseme frames [F, D_v] -> embeddings [N, t_target] in speech time."""
@@ -228,7 +223,7 @@ class UsevNet:
         if frames.shape[1] != self.cfg.visual_dim:
             raise ValueError(f"viseme dim {frames.shape[1]} != config "
                              f"{self.cfg.visual_dim}")
-        v = ad.transpose(ad.matmul(Tensor(frames), self.params["vis.proj"]))
+        v = Tensor((frames @ self.params["vis.proj"].data).T)
         for i in range(self.cfg.vtcn_repeats):
             v = self._vtcn_block(v, f"vtcn{i}")
         # Nearest-neighbor upsampling onto the speech frame grid.
@@ -245,23 +240,23 @@ class UsevNet:
         t_len = speech_emb.shape[1]
         pr = self.params
         x = self._layer_norm(speech_emb, "ext.ln_in")
-        x = ad.matmul(pr["ext.lin1.w"], x) + pr["ext.lin1.b"]
+        x = ad.linear(pr["ext.lin1.w"], x, pr["ext.lin1.b"])
         x = ad.concat([x, visual_emb], axis=0)
-        x = ad.matmul(pr["ext.lin2.w"], x) + pr["ext.lin2.b"]
+        x = ad.linear(pr["ext.lin2.w"], x, pr["ext.lin2.b"])
         chunks = ad.segment_chunks(x, self.cfg.chunk)
         for r in range(self.cfg.repeats):
             chunks = self._dprnn_half(chunks, f"dprnn{r}.intra", intra=True)
             chunks = self._dprnn_half(chunks, f"dprnn{r}.inter", intra=False)
         x = ad.aggregate_chunks(chunks, t_len)
         x = ad.prelu(x, pr["ext.prelu"])
-        x = ad.matmul(pr["ext.lin5.w"], x) + pr["ext.lin5.b"]
+        x = ad.linear(pr["ext.lin5.w"], x, pr["ext.lin5.b"])
         return ad.relu(x)
 
     def decode(self, masked_emb: Tensor, out_len: int) -> Tensor:
         """Embeddings [N, T] -> waveform [out_len] via frame overlap-add,
         zero-filled at the end. The T frames of an out_len-sample input
         cover at most out_len samples, so a longer overlap-add is an error."""
-        frames = ad.matmul(self.params["dec.w"], masked_emb) + self.params["dec.b"]
+        frames = ad.linear(self.params["dec.w"], masked_emb, self.params["dec.b"])
         return ad.overlap_add_frames(frames, self.cfg.hop, out_len)
 
     def forward(self, samples, viseme_frames) -> Tensor:

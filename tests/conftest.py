@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from usev import autodiff as ad
@@ -21,3 +23,22 @@ def plant_backward(monkeypatch):
         monkeypatch.setattr(ad, "_node", planted)
 
     return plant
+
+
+@pytest.fixture
+def backward_runs(monkeypatch):
+    """A Counter, keyed by node, of how many times each node built
+    afterwards has run its backward rule."""
+    runs = Counter()
+    node = ad._node
+
+    def counting(data, parents, backward_fn, op):
+        def counted(g):
+            runs[out] += 1
+            backward_fn(g)
+
+        out = node(data, parents, counted, op)
+        return out
+
+    monkeypatch.setattr(ad, "_node", counting)
+    return runs

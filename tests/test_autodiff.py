@@ -68,7 +68,7 @@ class TestBackwardBasics:
         y.backward()
         assert x.grad == pytest.approx(10.0)
 
-    def test_each_node_backward_runs_once(self):
+    def test_each_node_backward_runs_once(self, backward_runs):
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         a = ad.relu(x)
@@ -79,19 +79,20 @@ class TestBackwardBasics:
         loss.backward()
         for node in order:
             if node._backward_fn is not None:
-                assert node.backward_runs == 1
+                assert backward_runs[node] == 1
 
     def test_backward_frees_interior_gradients(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-        a = ad.relu(ad.matmul(x, w))
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        a = ad.relu(ad.linear(x, w, b))
         loss = ((a + ad.log(x * x + 1.0)) * a).sum()
         order = ad.toposort(loss)
         loss.backward()
         assert all(node.grad is None for node in order
                    if node._backward_fn is not None)
-        for leaf in (x, w):
+        for leaf in (x, w, b):
             assert leaf.grad is not None and leaf.grad.shape == leaf.shape
 
     def test_second_backward_doubles_leaf_gradient(self):
@@ -110,12 +111,13 @@ class TestBackwardBasics:
             rng = np.random.default_rng(42)
             x = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
             w = Tensor(rng.standard_normal((5, 5)), requires_grad=True)
-            loss = (ad.relu(ad.matmul(x, w)) * ad.log(x * x + 1.0)).sum()
+            b = Tensor(rng.standard_normal(5), requires_grad=True)
+            loss = (ad.relu(ad.linear(x, w, b)) * ad.log(x * x + 1.0)).sum()
             loss.backward()
-            return x.grad.copy(), w.grad.copy()
+            return x.grad.copy(), w.grad.copy(), b.grad.copy()
 
-        g1, g2 = run(), run()
-        assert np.array_equal(g1[0], g2[0]) and np.array_equal(g1[1], g2[1])
+        for first, second in zip(run(), run()):
+            assert np.array_equal(first, second)
 
     def test_constant_folding_without_grad(self):
         x = Tensor(np.ones(4))
@@ -205,9 +207,38 @@ class TestOpForwards:
                                   * proj).sum(), {"f": frames})
         assert err <= OP_TOL
 
-    def test_matmul_requires_2d(self):
-        with pytest.raises(ValueError):
-            ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3,), (3, 2)), ((2, 3), (3, 2, 1)), ((2, 3), (4, 2))],
+        ids=["1d_a", "3d_b", "k_mismatch"])
+    def test_linear_shape_errors(self, a_shape, b_shape):
+        with pytest.raises(ValueError, match=re.escape(f"{a_shape} @ {b_shape}")):
+            ad.linear(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)),
+                      Tensor(np.zeros(1)))
+
+    # W [N, K] @ x [K, T] + b [N, 1] (channels first) and x [T, batch, K] @
+    # W [K, N] + b [N] (the DPRNN projection).
+    @pytest.mark.parametrize("shapes", [((5, 3), (3, 4), (5, 1)),
+                                        ((3, 2, 4), (4, 5), (5,))],
+                             ids=["2d", "3d"])
+    def test_linear_matches_matmul_add_reshape_oracle(self, shapes):
+        # The unfused chain in numpy: reshape a to 2-D, matmul, add the
+        # bias, reshape back; backward through the same steps in reverse.
+        # The fused node must reproduce every value bit for bit.
+        rng = np.random.default_rng(22)
+        a, b, bias = (rng.standard_normal(s) for s in shapes)
+        a2 = a.reshape(-1, a.shape[-1])
+        out2 = a2 @ b + bias
+        proj = rng.standard_normal(a.shape[:-1] + (b.shape[1],))
+        g2 = proj.reshape(out2.shape)
+        dbias = g2.sum(axis=0) if bias.ndim == 1 else g2.sum(axis=1, keepdims=True)
+        ta, tb, tbias = (Tensor(v, requires_grad=True) for v in (a, b, bias))
+        out = ad.linear(ta, tb, tbias)
+        assert out.op == "linear"
+        np.testing.assert_array_equal(out.data, out2.reshape(proj.shape))
+        (out * proj).sum().backward()
+        np.testing.assert_array_equal(ta.grad, (g2 @ b.T).reshape(a.shape))
+        np.testing.assert_array_equal(tb.grad, a2.T @ g2)
+        np.testing.assert_array_equal(tbias.grad, dbias)
 
 
 class TestChunking:
@@ -442,6 +473,13 @@ class TestBilstm:
         # Three per V-TCN block, one at the extractor input, one per DPRNN half.
         assert ops.count("layer_norm") == 3 * cfg.vtcn_repeats + 1 + 2 * cfg.repeats
         assert "sqrt" not in ops
+        # One per affine map: two per V-TCN block, one per DPRNN half, and
+        # the encoder, ext.lin1, ext.lin2, ext.lin5 and the decoder. The
+        # bias adds and the DPRNN reshapes are folded in; the encoder's two
+        # weight reshapes are the only ones left.
+        assert ops.count("linear") == 2 * cfg.vtcn_repeats + 2 * cfg.repeats + 5
+        assert ops.count("reshape") == 2
+        assert "matmul" not in ops
 
 
 class TestGradientChecks:

@@ -451,6 +451,16 @@ def test_sweep_of_another_loss_gives_param_exit_code(tmp_path, capsys, loss):
     assert not (tmp_path / "o").exists()
 
 
+def test_empty_test_manifest_gives_param_exit_code_and_no_out_dir(tmp_path,
+                                                                  capsys):
+    manifest = tmp_path / "empty.jsonl"
+    manifest.write_text("")
+    args = _train_or_evaluate("evaluate", tmp_path, manifest)
+    assert run(args) == 2
+    assert f"{manifest}: empty test set" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "sweep", "evaluate"])
 @pytest.mark.parametrize("missing", ["manifest", "checkpoint"])
 def test_missing_input_gives_io_exit_code_and_no_out_dir(tmp_path, command,

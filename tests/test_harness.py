@@ -368,6 +368,12 @@ class TestEvaluate:
                            mixture_baseline=False)
         assert "model" in reports and "mixture" not in reports
 
+    def test_empty_test_set_rejected_before_out_dir(self, tmp_path):
+        save_model(tmp_path / "m.ckpt", UsevNet(TINY_MODEL, seed=9))
+        with pytest.raises(ValueError, match="^empty test set$"):
+            evaluate(tmp_path / "m.ckpt", [], tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweep:
     def test_single_tuple_matches_grid_size(self, tiny_records, tmp_path):

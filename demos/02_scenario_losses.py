@@ -22,8 +22,7 @@ n = 4 * sr
 target_mask = np.arange(n) < 2 * sr
 interf_mask = (np.arange(n) >= sr) & (np.arange(n) < 3 * sr)
 track = label_scenarios(target_mask, interf_mask)
-print("scenario track:", [(s.start / sr, s.end / sr, s.kind)
-                          for s in track.segments])
+print("scenario track (start, end, kind) in samples:", track.to_triples())
 
 target = np.where(target_mask, rng.standard_normal(n) * 0.1, 0.0)
 interf = np.where(interf_mask, rng.standard_normal(n) * 0.1, 0.0)

@@ -91,7 +91,8 @@ def _load_records(data):
 
 
 def _check_clips(model: UsevNet, records) -> None:
-    """Every clip must be at the model's sample rate and viseme width."""
+    """Every clip must be at the model's sample rate and viseme width, and
+    no shorter than its encoder kernel."""
     for rec in records:
         if rec.mixture.sample_rate != model.cfg.sample_rate:
             raise ValueError(f"clip {rec.clip_id}: sample rate "
@@ -101,6 +102,9 @@ def _check_clips(model: UsevNet, records) -> None:
             raise ValueError(f"clip {rec.clip_id}: viseme width "
                              f"{rec.viseme_stream.shape[1]}, but the model "
                              f"takes {model.cfg.visual_dim}")
+        if len(rec.mixture) < model.cfg.kernel_len:
+            raise ValueError(f"clip {rec.clip_id}: {len(rec.mixture)} samples, shorter "
+                             f"than the encoder kernel ({model.cfg.kernel_len})")
 
 
 def _clip_loss_graph(cfg: TrainConfig, est, ref, track):

@@ -543,7 +543,8 @@ def write_manifest(path, rows) -> None:
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _numbered_rows(path) -> list[tuple[int, dict]]:
+def _numbered_rows(path) -> list[tuple[int, dict, ScenarioTrack]]:
+    """Each row of the manifest with its line number and scenario track."""
     rows = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -562,13 +563,18 @@ def _numbered_rows(path) -> list[tuple[int, dict]]:
                 if k in row and not ok(row[k]):
                     raise ValueError(f"{path}: line {lineno}: field {k!r} "
                                      f"must be {what}, got {row[k]!r}")
-            rows.append((lineno, row))
+            try:
+                track = ScenarioTrack.from_triples(row["track"], row["clip_len"])
+            except ValueError as e:
+                raise ValueError(f"{path}: line {lineno}: field 'track': "
+                                 f"{e}") from None
+            rows.append((lineno, row, track))
     return rows
 
 
 def read_manifest(path) -> list[dict]:
     """The manifest's rows; each must carry the composition fields."""
-    return [row for _, row in _numbered_rows(path)]
+    return [row for _, row, _ in _numbered_rows(path)]
 
 
 def read_records(path) -> list[MixtureRecord]:
@@ -577,18 +583,18 @@ def read_records(path) -> list[MixtureRecord]:
     any file is opened. A clip that fails to load names the manifest and
     the line."""
     rows, base = _numbered_rows(path), Path(path).parent
-    for lineno, row in rows:
+    for lineno, row, _ in rows:
         for k in _ROW_PATHS:
             if not isinstance(row.get(k), str) or not row[k]:
                 raise ValueError(f"{path}: line {lineno}: field {k!r} must be "
                                  f"a non-empty path string, got {row.get(k)!r}")
-    for lineno, row in rows:
+    for lineno, row, _ in rows:
         for k in _ROW_PATHS:
             if not (base / row[k]).is_file():
                 raise ValueError(f"{path}: line {lineno}: field {k!r} names "
                                  f"no file: {base / row[k]}")
     records = []
-    for lineno, row in rows:
+    for lineno, row, _ in rows:
         try:
             records.append(load_record(row, base))
         except ValueError as e:
@@ -677,12 +683,7 @@ def corpus_stats(manifest_path) -> StatsReport:
     rows = _numbered_rows(manifest_path)
     counts = {b: 0 for b in BUCKETS}
     kind_samples = {k: 0.0 for k in KINDS}
-    for lineno, row in rows:
-        try:
-            track = ScenarioTrack.from_triples(row["track"], row["clip_len"])
-        except ValueError as e:
-            raise ValueError(f"{manifest_path}: line {lineno}: field 'track': "
-                             f"{e}") from None
+    for _, row, track in rows:
         counts[clip_bucket(track)] += 1
         sr = row["sample_rate"]
         for kind, samples in track.durations().items():

@@ -227,9 +227,8 @@ class UsevNet:
         for i in range(self.cfg.vtcn_repeats):
             v = self._vtcn_block(v, f"vtcn{i}")
         # Nearest-neighbor upsampling onto the speech frame grid.
-        step_s = self.cfg.hop / self.cfg.sample_rate
-        idx = np.minimum((np.arange(t_target) * step_s * VISEME_FPS)
-                         .astype(np.intp), frames.shape[0] - 1)
+        idx = np.minimum(np.arange(t_target) * (self.cfg.hop * VISEME_FPS)
+                         // self.cfg.sample_rate, frames.shape[0] - 1)
         return ad.index_select(v, axis=1, indices=idx)
 
     def extract_mask(self, speech_emb: Tensor, visual_emb: Tensor) -> Tensor:

@@ -2,8 +2,9 @@
 
 Every sample of a clip falls into one of four target/interference pairing
 kinds -- QQ, SQ, SS, QS -- derived from sample-level activity masks. A
-ScenarioTrack is the maximal-run partition of a clip into those kinds; it
-drives the differentiated loss and the evaluation buckets.
+ScenarioTrack holds one kind code per sample; it drives the differentiated
+loss and the evaluation buckets, and its maximal runs, as (start, end, kind)
+triples, are its manifest form.
 """
 
 from __future__ import annotations
@@ -29,79 +30,68 @@ BUCKET_BOUNDS = {
 }
 BUCKETS = ("TA", *BUCKET_BOUNDS)
 
-# kind = target_active + 2 * interference_active
+# A sample's kind code is target_active + 2 * interference_active.
 _CODE_TO_KIND = ("QQ", "SQ", "QS", "SS")
+_KIND_CODE = {kind: code for code, kind in enumerate(_CODE_TO_KIND)}
 
 
-@dataclass
-class ScenarioSegment:
-    start: int  # sample index, inclusive
-    end: int  # sample index, exclusive
-    kind: str
+@dataclass(eq=False)
+class ScenarioTrack:
+    """The kind code of every sample of a clip, as int8."""
 
-    def __post_init__(self):
-        if not self.start < self.end:
-            raise ValueError(f"empty segment [{self.start}, {self.end})")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
+    codes: np.ndarray
 
     @property
-    def length(self) -> int:
-        return self.end - self.start
-
-
-@dataclass
-class ScenarioTrack:
-    """Maximal scenario segments tiling [0, clip_len) exactly."""
-
-    segments: list[ScenarioSegment]
-    clip_len: int
-
-    def __post_init__(self):
-        pos = 0
-        prev_kind = None
-        for seg in self.segments:
-            if seg.start != pos:
-                raise ValueError(f"segments must tile the clip; gap at {pos}")
-            if seg.kind == prev_kind:
-                raise ValueError(f"adjacent segments share kind {seg.kind} at {pos}")
-            pos = seg.end
-            prev_kind = seg.kind
-        if pos != self.clip_len:
-            raise ValueError(f"segments cover [0, {pos}), clip_len is {self.clip_len}")
+    def clip_len(self) -> int:
+        return len(self.codes)
 
     def kind_mask(self, kind: str) -> np.ndarray:
-        """Boolean per-sample mask of all segments of one kind."""
-        mask = np.zeros(self.clip_len, dtype=bool)
-        for seg in self.segments:
-            if seg.kind == kind:
-                mask[seg.start : seg.end] = True
-        return mask
+        """Boolean per-sample mask of one kind."""
+        return self.codes == _KIND_CODE[kind]
 
     def durations(self) -> dict[str, int]:
         """Per-kind total duration in samples."""
-        out = dict.fromkeys(KINDS, 0)
-        for seg in self.segments:
-            out[seg.kind] += seg.length
-        return out
+        return {k: int(np.count_nonzero(self.kind_mask(k))) for k in KINDS}
 
     def target_mask(self) -> np.ndarray:
-        return self.kind_mask("SQ") | self.kind_mask("SS")
+        return (self.codes & 1).astype(bool)
 
     def interference_mask(self) -> np.ndarray:
-        return self.kind_mask("SS") | self.kind_mask("QS")
+        return self.codes >= 2
 
     def to_triples(self) -> list[tuple[int, int, str]]:
-        return [(s.start, s.end, s.kind) for s in self.segments]
+        """The maximal runs of one kind as (start, end, kind), start
+        inclusive and end exclusive: the track's manifest form."""
+        c = self.codes
+        bounds = [0, *(np.flatnonzero(c[1:] != c[:-1]) + 1).tolist(), len(c)]
+        return [(a, b, _CODE_TO_KIND[c[a]]) for a, b in zip(bounds, bounds[1:])]
 
     @classmethod
     def from_triples(cls, triples, clip_len: int) -> "ScenarioTrack":
-        segs = [ScenarioSegment(int(a), int(b), str(k)) for a, b, k in triples]
-        return cls(segs, int(clip_len))
+        """The track whose maximal runs are `triples`; they must tile
+        [0, clip_len) in order, each nonempty and of another kind than the
+        one before."""
+        codes, lengths, pos = [], [], 0
+        for a, b, kind in triples:
+            a, b, kind = int(a), int(b), str(kind)
+            if not a < b:
+                raise ValueError(f"empty segment [{a}, {b})")
+            if kind not in KINDS:
+                raise ValueError(f"unknown scenario kind {kind!r}")
+            if a != pos:
+                raise ValueError(f"segments must tile the clip; gap at {pos}")
+            if codes and codes[-1] == _KIND_CODE[kind]:
+                raise ValueError(f"adjacent segments share kind {kind} at {pos}")
+            codes.append(_KIND_CODE[kind])
+            lengths.append(b - a)
+            pos = b
+        if pos != clip_len:
+            raise ValueError(f"segments cover [0, {pos}), clip_len is {clip_len}")
+        return cls(np.repeat(np.array(codes, dtype=np.int8), lengths))
 
 
 def label_scenarios(target, interference) -> ScenarioTrack:
-    """Partition a clip into maximal QQ/SQ/SS/QS runs from two activity masks.
+    """Label each sample of a clip QQ/SQ/SS/QS from two activity masks.
 
     Multiple interference speakers must be OR-combined into one mask first.
     """
@@ -111,14 +101,7 @@ def label_scenarios(target, interference) -> ScenarioTrack:
         raise ValueError(f"mask shapes differ: {t.shape} vs {i.shape}")
     if len(t) == 0:
         raise ValueError("cannot label an empty clip")
-    codes = t.astype(np.int8) + 2 * i.astype(np.int8)
-    edges = np.flatnonzero(np.diff(codes)) + 1
-    bounds = np.concatenate(([0], edges, [len(codes)]))
-    segments = [
-        ScenarioSegment(int(a), int(b), _CODE_TO_KIND[codes[a]])
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
-    return ScenarioTrack(segments, len(codes))
+    return ScenarioTrack(t.astype(np.int8) + 2 * i.astype(np.int8))
 
 
 def overlap_ratio(track: ScenarioTrack) -> float | None:
@@ -127,17 +110,15 @@ def overlap_ratio(track: ScenarioTrack) -> float | None:
     None covers all-QQ clips and TA clips without interference speech; the
     overlap ratio does not apply to them.
     """
-    d = track.durations()
-    denom = d["SS"] + d["SQ"] + d["QS"]
-    if denom == 0:
+    speech = np.count_nonzero(track.codes)  # every kind but QQ
+    if speech == 0:
         return None
-    return d["SS"] / denom
+    return np.count_nonzero(track.kind_mask("SS")) / speech
 
 
 def classify_clip(track: ScenarioTrack) -> str:
     """'TA' when the target never speaks (no SQ and no SS), else 'TP'."""
-    d = track.durations()
-    return "TA" if d["SQ"] == 0 and d["SS"] == 0 else "TP"
+    return "TP" if track.target_mask().any() else "TA"
 
 
 def overlap_bucket(ratio: float | None) -> str:
@@ -162,6 +143,4 @@ def crop_track(track: ScenarioTrack, start: int, end: int) -> ScenarioTrack:
     """Scenario track of the sample window [start, end) of the clip."""
     if not 0 <= start < end <= track.clip_len:
         raise ValueError(f"bad crop [{start}, {end}) for clip_len {track.clip_len}")
-    t = track.target_mask()[start:end]
-    i = track.interference_mask()[start:end]
-    return label_scenarios(t, i)
+    return ScenarioTrack(track.codes[start:end])

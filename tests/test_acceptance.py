@@ -66,11 +66,11 @@ def _oracle_differentiated(est, ref, track, w):
     total = 0.0
     for kind, weight in (("QQ", w.alpha), ("SQ", w.beta),
                          ("SS", w.gamma), ("QS", w.delta)):
-        segs = [seg for seg in track.segments if seg.kind == kind]
-        if not segs:
+        runs = [(a, b) for a, b, k in track.to_triples() if k == kind]
+        if not runs:
             continue
-        e = np.concatenate([est[s.start:s.end] for s in segs])
-        r = np.concatenate([ref[s.start:s.end] for s in segs])
+        e = np.concatenate([est[a:b] for a, b in runs])
+        r = np.concatenate([ref[a:b] for a, b in runs])
         if kind in ("SQ", "SS"):
             total += weight * (-10 * math.log10(
                 _fsq(r) / (_fsq(e - r) + 1e-8) + 1e-8))
@@ -153,9 +153,9 @@ def test_criterion_3_scenario_algebra():
         i = rng.random(n) < rng.uniform(0.1, 0.9)
         track = label_scenarios(t, i)
         per_sample = [None] * n
-        for seg in track.segments:
-            for j in range(seg.start, seg.end):
-                per_sample[j] = seg.kind
+        for start, end, kind in track.to_triples():
+            for j in range(start, end):
+                per_sample[j] = kind
         want = [kind_of[(int(a), int(b))] for a, b in zip(t, i)]
         assert per_sample == want
 
@@ -271,8 +271,7 @@ def test_criterion_6_simulation_soundness():
     worst_snr = 0.0
     worst_recon = 0.0
     for rec in iter_corpus(cfg, 500, seed=1006):
-        for seg in rec.track.segments:
-            kinds.add(seg.kind)
+        kinds.update(kind for _, _, kind in rec.track.to_triples())
         buckets.add(clip_bucket(rec.track))
         resid = rec.mixture.samples - sum(rec.components.values())
         worst_recon = max(worst_recon, float(np.max(np.abs(resid))))

@@ -271,6 +271,10 @@ DELETE = object()  # the field is left out of the row
     ("track", 5),
     pytest.param("track", [[0, 10, "XX"]], id="track-bad_kind"),
     pytest.param("track", [["0", 10, "QQ"]], id="track-text_start"),
+    pytest.param("track", [[10, 0, "QQ"]], id="track-reversed"),
+    pytest.param("track", [[0, 5, "QQ"]], id="track-short_cover"),
+    pytest.param("track", [[0, 5, "QQ"], [5, 10, "QQ"]],
+                 id="track-adjacent_same_kind"),
     ("occlusion_spans", 5),
     pytest.param("occlusion_spans", [[0]], id="occlusion_spans-one_end"),
     ("clip_len", None), ("clip_len", 0), ("sample_rate", "8000"),
@@ -418,6 +422,34 @@ def test_viseme_header_without_frames_or_fps_gives_param_exit_code(
     err = capsys.readouterr().err
     assert str(manifest) in err and "line 2" in err and str(path) in err
     assert f"{header[0]} frames at {header[2]} fps" in err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_clip_shorter_than_the_encoder_kernel_gives_param_exit_code_and_no_out_dir(
+        tmp_path, capsys, command):
+    # 0.04-s clips at 8 kHz hold 320 samples, under a 400-sample kernel.
+    from dataclasses import replace
+
+    from usev.gradcheck import micro_config
+    from usev.harness import save_model
+    from usev.mixsim import SimConfig, write_corpus
+    from usev.model import UsevNet
+
+    sim = SimConfig(clip_s=(0.04, 0.04), utterance_s=(3.0, 4.0),
+                    n_utterances=8, n_speakers=4)
+    manifest = write_corpus(sim, 2, 7, tmp_path / "corpus")
+    args = _train_or_evaluate(command, tmp_path, manifest)
+    if command == "train":
+        (tmp_path / "run.cfg").write_text(
+            TINY_RUN.replace("kernel_len = 8", "kernel_len = 400"))
+    else:
+        save_model(tmp_path / "m.ckpt",
+                   UsevNet(replace(micro_config(), kernel_len=400, visual_dim=8)))
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert ("clip clip-000000: 320 samples, shorter than the encoder kernel "
+            "(400)") in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "o").exists()
 
 
 def test_sweep_from_checkpoint_of_another_model(tmp_path, capsys):

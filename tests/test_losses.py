@@ -33,9 +33,9 @@ def oracle_energy(est):
 def oracle_differentiated(est, ref, track, w):
     total = 0.0
     per_kind = {k: ([], []) for k in ("QQ", "SQ", "SS", "QS")}
-    for seg in track.segments:
-        per_kind[seg.kind][0].extend(np.asarray(est)[seg.start:seg.end].tolist())
-        per_kind[seg.kind][1].extend(np.asarray(ref)[seg.start:seg.end].tolist())
+    for start, end, kind in track.to_triples():
+        per_kind[kind][0].extend(np.asarray(est)[start:end].tolist())
+        per_kind[kind][1].extend(np.asarray(ref)[start:end].tolist())
     for kind, weight in (("QQ", w.alpha), ("SQ", w.beta),
                          ("SS", w.gamma), ("QS", w.delta)):
         e, r = per_kind[kind]

@@ -265,7 +265,7 @@ class TestOverlappedCorpus:
     def test_fully_active_pair_is_single_ss(self):
         bank = UtteranceBank(OVERLAPPED, seed=3, count=4, fully_active=True)
         for rec in iter_overlapped_corpus(OVERLAPPED, 3, seed=3):
-            assert [s.kind for s in rec.track.segments] == ["SS"]
+            assert [kind for _, _, kind in rec.track.to_triples()] == ["SS"]
             want = min(len(bank.get(rec.spec.target_source).clip),
                        len(bank.get(rec.spec.interference_sources[0]).clip))
             want -= want % OVERLAPPED.samples_per_frame
@@ -334,8 +334,7 @@ class TestPlannerAndCorpus:
         seen_kinds = set()
         seen_buckets = set()
         for rec in iter_corpus(FAST, 60, seed=2):
-            for seg in rec.track.segments:
-                seen_kinds.add(seg.kind)
+            seen_kinds.update(kind for _, _, kind in rec.track.to_triples())
             seen_buckets.add(clip_bucket(rec.track))
         assert seen_kinds == {"QQ", "SQ", "SS", "QS"}
         assert {"0%", "(80,100]%"} <= seen_buckets

@@ -94,6 +94,18 @@ class TestVisualEncode:
             np.testing.assert_array_equal(out[:, t], out[:, (t // 32) * 32])
         assert not np.array_equal(out[:, 0], out[:, 32])
 
+    def test_frame_on_a_viseme_boundary_takes_that_viseme(self):
+        # Desk frames are 20 samples at 8 kHz, 16 per viseme frame. Speech
+        # frame 464 starts at 1.16 s, where viseme frame 29 begins; the
+        # float time 464 * 20 / 8000 * 25 is 28.999999999999996.
+        net = UsevNet(DESK, seed=6)
+        v = np.random.default_rng(2).uniform(0.1, 1, (40, DESK.visual_dim))
+        out = net.visual_encode(v, 1000).data
+        np.testing.assert_array_equal(out[:, 464], out[:, 465])
+        assert not np.array_equal(out[:, 463], out[:, 464])
+        for t in range(1000):
+            np.testing.assert_array_equal(out[:, t], out[:, (t // 16) * 16])
+
     def test_zero_stream_zero_biases_gives_zeros(self):
         net = UsevNet(DESK, seed=4)
         for name, p in net.params.items():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from usev.scenario import (KINDS, ScenarioSegment, ScenarioTrack, classify_clip,
+from usev.scenario import (KINDS, ScenarioTrack, classify_clip,
                            clip_bucket, crop_track, label_scenarios,
                            overlap_bucket, overlap_ratio)
 
@@ -19,9 +19,9 @@ def brute_force_kinds(target, interference):
 
 def track_to_per_sample(track):
     out = [None] * track.clip_len
-    for seg in track.segments:
-        for j in range(seg.start, seg.end):
-            out[j] = seg.kind
+    for start, end, kind in track.to_triples():
+        for j in range(start, end):
+            out[j] = kind
     return out
 
 
@@ -149,18 +149,37 @@ class TestOverlapBucket:
 
 class TestScenarioTrack:
     def test_rejects_gap(self):
-        with pytest.raises(ValueError):
-            ScenarioTrack([ScenarioSegment(0, 2, "QQ"),
-                           ScenarioSegment(3, 4, "SS")], 4)
+        with pytest.raises(ValueError, match="gap at 2"):
+            ScenarioTrack.from_triples([(0, 2, "QQ"), (3, 4, "SS")], 4)
 
     def test_rejects_adjacent_same_kind(self):
-        with pytest.raises(ValueError):
-            ScenarioTrack([ScenarioSegment(0, 2, "QQ"),
-                           ScenarioSegment(2, 4, "QQ")], 4)
+        with pytest.raises(ValueError, match="adjacent segments share kind QQ"):
+            ScenarioTrack.from_triples([(0, 2, "QQ"), (2, 4, "QQ")], 4)
 
     def test_rejects_wrong_cover(self):
-        with pytest.raises(ValueError):
-            ScenarioTrack([ScenarioSegment(0, 2, "QQ")], 4)
+        with pytest.raises(ValueError, match=r"cover \[0, 2\), clip_len is 4"):
+            ScenarioTrack.from_triples([(0, 2, "QQ")], 4)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown scenario kind 'XX'"):
+            ScenarioTrack.from_triples([(0, 2, "QQ"), (2, 4, "XX")], 4)
+
+    @pytest.mark.parametrize("triples", [[(0, 0, "QQ"), (0, 4, "SS")],
+                                         [(0, 2, "QQ"), (4, 2, "SS")]],
+                             ids=["zero_length", "reversed"])
+    def test_rejects_empty_segment(self, triples):
+        with pytest.raises(ValueError, match="empty segment"):
+            ScenarioTrack.from_triples(triples, 4)
+
+    def test_codes_are_target_plus_twice_interference(self):
+        t = np.array([0, 1, 1, 0, 0], bool)
+        i = np.array([0, 0, 1, 1, 0], bool)
+        track = label_scenarios(t, i)
+        assert track.codes.dtype == np.int8
+        assert track.codes.tolist() == [0, 1, 3, 2, 0]
+        assert track.target_mask().tolist() == t.tolist()
+        assert track.interference_mask().tolist() == i.tolist()
+        assert track.durations() == {"QQ": 2, "SQ": 1, "SS": 1, "QS": 1}
 
     def test_kind_mask(self):
         track = label_scenarios(np.array([1, 1, 0, 0], bool),

@@ -15,12 +15,13 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from . import mixsim
+from . import mixsim, workers
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dsp import VISEME_FPS, AudioClip
 from .losses import (LossWeights, tensor_loss_differentiated, tensor_loss_sdr,
@@ -141,20 +142,25 @@ def crop_samples(cfg: TrainConfig, model_cfg: UsevConfig) -> int:
     return max(model_cfg.kernel_len, n)
 
 
-def _validation_loss(cfg: TrainConfig, model: UsevNet, records,
-                     epoch: int) -> float:
-    """Mean loss over the full validation clips; a non-finite clip loss
-    stops training, naming the epoch and the clip."""
-    vals = []
+def _clip_val_loss(cfg: TrainConfig, model: UsevNet, clip) -> float:
+    mix, vis, ref, track = clip
     with ad.no_grad(model.params.values()):
-        for rec in records:
-            out = model.forward(rec.mixture.samples, rec.viseme_stream)
-            loss = _clip_loss_graph(cfg, out, rec.target_truth.samples,
-                                    rec.track).item()
-            if not np.isfinite(loss):
-                raise ValueError(f"epoch {epoch}: non-finite validation loss "
-                                 f"on clip {rec.clip_id}")
-            vals.append(loss)
+        return _clip_loss_graph(cfg, model.forward(mix, vis), ref, track).item()
+
+
+def _validation_loss(cfg: TrainConfig, records, epoch: int,
+                     map_clips) -> float:
+    """Mean loss over the full validation clips, each run by `map_clips`; a
+    non-finite clip loss stops training, naming the epoch and the clip."""
+    losses = map_clips(partial(_clip_val_loss, cfg), (
+        (r.mixture.samples, r.viseme_stream, r.target_truth.samples, r.track)
+        for r in records))
+    vals = []
+    for rec, loss in zip(records, losses):
+        if not np.isfinite(loss):
+            raise ValueError(f"epoch {epoch}: non-finite validation loss "
+                             f"on clip {rec.clip_id}")
+        vals.append(loss)
     return float(np.mean(vals))
 
 
@@ -174,32 +180,47 @@ def _check_finite(loss: float, model: UsevNet, epoch: int, step: int,
                          f"{clip_ids}")
 
 
-def _clip_backward(cfg: TrainConfig, model: UsevNet, crop, scale: float) -> float:
+def _clip_grads(cfg: TrainConfig, scale: float, model: UsevNet, crop):
     """Build one clip's loss graph, backpropagate `scale` times it into the
-    parameters and return the loss; the graph dies when this returns."""
+    parameters and return the loss and each trainable parameter's gradient,
+    which leave the model; the graph dies when this returns."""
     mix, ref, vis, track = crop
     term = _clip_loss_graph(cfg, model.forward(mix, vis), ref, track)
     (term * scale).backward()
-    return term.item()
+    params = model.trainable_params()
+    grads = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    return term.item(), grads
 
 
 def train_step(cfg: TrainConfig, model: UsevNet, opt, crops, epoch: int,
-               step: int, clip_ids) -> float:
+               step: int, clip_ids, map_clips=None) -> float:
     """One Adam step on the mean loss over the cropped clips; returns the
     loss.
 
-    Each clip's graph is built, backpropagated and freed before the next
-    clip's forward, so a step holds one clip's graph at a time. The clips
-    run last to first: one backward through the summed graph
-    `((l0 + l1) + l2) * (1/n)` visits them in that order, so every parameter
-    adds up the clips' gradients in the same order and gets the same bits.
-    The loss adds the clip losses in batch order, as the summed graph
-    does."""
+    `map_clips` (in this process by default) builds, backpropagates and
+    frees each clip's graph on its own and hands back its loss and
+    gradients. The clips run last to first: one backward through the summed
+    graph `((l0 + l1) + l2) * (1/n)` visits them in that order, and each
+    parameter takes one gradient per clip, so adding the clips' gradients
+    here in that order gives every parameter the same bits. The loss adds
+    the clip losses in batch order, as the summed graph does."""
+    map_clips = map_clips or workers.in_process(model)
     opt.zero_grad()
+    params = model.trainable_params()
     scale = 1.0 / len(crops)
     losses = [0.0] * len(crops)
-    for i in reversed(range(len(crops))):
-        losses[i] = _clip_backward(cfg, model, crops[i], scale)
+    order = range(len(crops) - 1, -1, -1)
+    results = map_clips(partial(_clip_grads, cfg, scale),
+                        (crops[i] for i in order))
+    for i, (loss, grads) in zip(order, results):
+        losses[i] = loss
+        for p, g in zip(params, grads):
+            if p.grad is None:
+                p.grad = g
+            elif g is not None:
+                p.grad += g
         _check_finite(losses[i], model, epoch, step, clip_ids[i], clip_ids)
     opt.step()
     return sum(losses[1:], losses[0]) * scale
@@ -239,10 +260,11 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
     best_path = out / "best.ckpt"
     log_path = out / "train_log.jsonl"
     loss_log_path = out / "loss_log.txt"
-    log_f = open(log_path, "w")
-    loss_f = open(loss_log_path, "w")
+    # The most clips one call hands the pool: a batch or the validation set.
+    n_clips = max(min(cfg.batch_size, len(train_records)), len(val_records))
 
-    try:
+    with (workers.clip_map(model, n_clips, share=True) as map_clips,
+          open(log_path, "w") as log_f, open(loss_log_path, "w") as loss_f):
         for epoch in range(cfg.max_epochs):
             t0 = time.monotonic()
             opt.lr = learning_rate(cfg, epoch)
@@ -254,9 +276,9 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
                 crops = [_random_crop(rng, rec, n_trunc, spf) for rec in batch]
                 batch_losses.append(train_step(
                     cfg, model, opt, crops, epoch, step,
-                    [rec.clip_id for rec in batch]))
+                    [rec.clip_id for rec in batch], map_clips))
             train_loss = float(np.mean(batch_losses))
-            val_loss = _validation_loss(cfg, model, val_records, epoch)
+            val_loss = _validation_loss(cfg, val_records, epoch, map_clips)
             wall = time.monotonic() - t0
 
             entry = {"epoch": epoch, "lr": opt.lr, "train_loss": train_loss,
@@ -276,10 +298,10 @@ def train(cfg: TrainConfig, model_cfg: UsevConfig | None, train_data, val_data,
                 since_best += 1
                 if since_best >= cfg.patience:
                     break
-    finally:
-        log_f.close()
-        loss_f.close()
-
+    # The returned model holds no gradients. perfbench's tracer times a step
+    # from opt.zero_grad() to opt.step(), so they are cleared here directly.
+    for p in model.params.values():
+        p.grad = None
     return TrainResult(best_path, log_path, loss_log_path, history,
                        best_val, model)
 
@@ -309,14 +331,19 @@ def load_model(path) -> tuple[UsevNet, dict]:
     return model, meta
 
 
-def extraction_pairs(model: UsevNet, records):
-    """Forward full-length clips (no truncation, no output normalization)."""
-    pairs = []
+def _clip_output(model: UsevNet, clip) -> np.ndarray:
     with ad.no_grad(model.params.values()):
-        for rec in records:
-            out = model.forward(rec.mixture.samples, rec.viseme_stream)
-            pairs.append((rec, AudioClip(out.data, rec.mixture.sample_rate)))
-    return pairs
+        return model.forward(*clip).data
+
+
+def extraction_pairs(model: UsevNet, records):
+    """Forward full-length clips (no truncation, no output normalization) on
+    a worker pool that lives for this call."""
+    with workers.clip_map(model, len(records)) as map_clips:
+        outs = map_clips(_clip_output, ((r.mixture.samples, r.viseme_stream)
+                                        for r in records))
+        return [(rec, AudioClip(out, rec.mixture.sample_rate))
+                for rec, out in zip(records, outs)]
 
 
 def evaluate(checkpoint, test_data, out_dir,

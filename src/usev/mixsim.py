@@ -594,18 +594,20 @@ def read_records(path) -> list[MixtureRecord]:
                 raise ValueError(f"{path}: line {lineno}: field {k!r} names "
                                  f"no file: {base / row[k]}")
     records = []
-    for lineno, row, _ in rows:
+    for lineno, row, track in rows:
         try:
-            records.append(load_record(row, base))
+            records.append(load_record(row, base, track))
         except ValueError as e:
             raise ValueError(f"{path}: line {lineno}: {e}") from None
     return records
 
 
-def load_record(row: dict, base_dir) -> MixtureRecord:
+def load_record(row: dict, base_dir, track: ScenarioTrack | None = None
+                ) -> MixtureRecord:
     """Rebuild a record from its manifest row and data files. Each WAV must
     hold clip_len samples at the row's sample_rate, and the viseme file the
-    frame count simulate_general writes for that length."""
+    frame count simulate_general writes for that length. `track` is the
+    row's scenario track where the caller has already built it."""
     base = Path(base_dir)
     mixture = audio_io.read_wav(base / row["mixture_path"])
     target = audio_io.read_wav(base / row["target_path"])
@@ -623,7 +625,8 @@ def load_record(row: dict, base_dir) -> MixtureRecord:
             f"field 'visemes_path': {base / row['visemes_path']} holds "
             f"{len(visemes)} frames; clip_len {length} at {rate} Hz and "
             f"{VISEME_FPS} fps needs {frames}")
-    track = ScenarioTrack.from_triples(row["track"], row["clip_len"])
+    if track is None:
+        track = ScenarioTrack.from_triples(row["track"], row["clip_len"])
     return MixtureRecord(
         clip_id=row["clip_id"], mixture=mixture, target_truth=target,
         viseme_stream=visemes, track=track, spec=None,
@@ -686,7 +689,10 @@ def corpus_stats(manifest_path) -> StatsReport:
     for _, row, track in rows:
         counts[clip_bucket(track)] += 1
         sr = row["sample_rate"]
-        for kind, samples in track.durations().items():
-            kind_samples[kind] += samples / sr / 3600.0
+        samples = dict.fromkeys(KINDS, 0)
+        for a, b, kind in row["track"]:  # int runs that tile the clip
+            samples[kind] += b - a
+        for kind in KINDS:
+            kind_samples[kind] += samples[kind] / sr / 3600.0
     return StatsReport(clip_counts=counts, kind_hours=kind_samples,
                        total_clips=len(rows))

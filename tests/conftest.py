@@ -1,8 +1,56 @@
+import os
+
+# The suite runs at one BLAS thread, as perfbench does: byte-identity holds
+# at a fixed thread count, and usev starts one worker process per CPU only
+# where the BLAS threads leave the CPUs free. numpy reads it at import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import multiprocessing
 from collections import Counter
 
 import pytest
 
 from usev import autodiff as ad
+from usev import workers
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a child process alive, such as a worker pool
+    that outlived the train or evaluate call that started it."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.kill()
+        proc.join()
+    if left:
+        pytest.fail(f"{len(left)} child processes left running: {left}")
+
+
+@pytest.fixture
+def started_pools(monkeypatch):
+    """The list of worker pools started while the test runs."""
+    pools = []
+
+    class CountedPool(workers.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(workers, "ProcessPoolExecutor", CountedPool)
+    return pools
+
+
+@pytest.fixture(params=["in-process", "pool"])
+def dispatch(request, monkeypatch, started_pools):
+    """Run every per-clip call in this process, or on a pool of two forked
+    workers whatever the CPU count, so both dispatchers are covered on any
+    machine; the test must start a pool exactly when it asks for one."""
+    pooled = request.param == "pool"
+    monkeypatch.setattr(workers, "worker_count",
+                        (lambda n: min(2, n)) if pooled else (lambda n: 1))
+    yield request.param
+    assert bool(started_pools) == pooled
 
 
 @pytest.fixture

@@ -26,6 +26,7 @@ from usev.mixsim import (SimConfig, apply_occlusion, corpus_stats, iter_corpus,
 from usev.model import UsevConfig, UsevNet
 from usev.scenario import (clip_bucket, label_scenarios, overlap_bucket,
                            overlap_ratio)
+from usev.workers import clip_map
 
 
 def report(criterion, ok, detail=""):
@@ -340,17 +341,21 @@ def test_criterion_7_desk_scale_overfit():
     opt = ad.Adam(model.trainable_params(), lr=cfg.lr0)
     rng = np.random.default_rng(0)
     steps = 0
-    # The shipped training step on whole clips, in this test's own batch order.
-    for epoch in range(cfg.max_epochs):
-        opt.lr = learning_rate(cfg, epoch)
-        order = rng.permutation(len(records))
-        for step, start in enumerate(range(0, len(order), cfg.batch_size)):
-            batch = [records[int(i)] for i in order[start : start + cfg.batch_size]]
-            train_step(cfg, model, opt,
-                       [(rec.mixture.samples, rec.target_truth.samples,
-                         rec.viseme_stream, rec.track) for rec in batch],
-                       epoch, step, [rec.clip_id for rec in batch])
-            steps += 1
+    # The shipped training step on whole clips, in this test's own batch
+    # order, with the clips of a step on train's worker pool.
+    with clip_map(model, cfg.batch_size, share=True) as map_clips:
+        for epoch in range(cfg.max_epochs):
+            opt.lr = learning_rate(cfg, epoch)
+            order = rng.permutation(len(records))
+            for step, start in enumerate(range(0, len(order), cfg.batch_size)):
+                batch = [records[int(i)]
+                         for i in order[start : start + cfg.batch_size]]
+                train_step(cfg, model, opt,
+                           [(rec.mixture.samples, rec.target_truth.samples,
+                             rec.viseme_stream, rec.track) for rec in batch],
+                           epoch, step, [rec.clip_id for rec in batch],
+                           map_clips)
+                steps += 1
     assert steps >= 200
 
     ss_mix, ss_est, q_mix, q_est = [], [], [], []

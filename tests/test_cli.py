@@ -452,6 +452,31 @@ def test_clip_shorter_than_the_encoder_kernel_gives_param_exit_code_and_no_out_d
     assert not (tmp_path / "run").exists() and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_value_error_in_a_worker_gives_param_exit_code(tmp_path, capsys,
+                                                       monkeypatch, command):
+    import os
+
+    from usev import workers
+    from usev.model import UsevNet
+
+    # The train config's model takes 8 viseme features, the evaluated one 2.
+    manifest = _small_corpus(tmp_path / "corpus",
+                             visual_dim=8 if command == "train" else 2)
+    args = _train_or_evaluate(command, tmp_path, manifest)
+    main_pid, forward = os.getpid(), UsevNet.forward
+
+    def fails_in_a_worker(self, *clip):
+        if os.getpid() != main_pid:
+            raise ValueError("planted failure in a worker")
+        return forward(self, *clip)
+
+    monkeypatch.setattr(workers, "worker_count", lambda n: min(2, n))
+    monkeypatch.setattr(UsevNet, "forward", fails_in_a_worker)
+    assert run(args) == 2
+    assert "error: planted failure in a worker" in capsys.readouterr().err
+
+
 def test_sweep_from_checkpoint_of_another_model(tmp_path, capsys):
     # The checkpoint's header fixes the model; the sweep must not hold it
     # against the default model of a config that names none.

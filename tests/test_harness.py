@@ -1,20 +1,22 @@
 import json
 import re
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from usev import autodiff as ad
+from usev import workers
 from usev.checkpoint import load_checkpoint
 from usev.config import load_config
 from usev.dsp import VISEME_FPS, AudioClip
 from usev.harness import (DEFAULT_WEIGHT_GRID, LOSSES, TrainConfig,
-                          _clip_loss_graph, _random_crop, crop_samples,
-                          evaluate, extraction_pairs, learning_rate,
-                          load_model, save_model, sweep_weights, train,
-                          train_step)
+                          _clip_grads, _clip_loss_graph, _random_crop,
+                          crop_samples, evaluate, extraction_pairs,
+                          learning_rate, load_model, save_model,
+                          sweep_weights, train, train_step)
 from usev.losses import LossWeights
 from usev.metrics import eval_report
 from usev.mixsim import SimConfig, iter_corpus, write_corpus
@@ -151,7 +153,8 @@ class TestTrainLoop:
                   tiny_records, tmp_path)
 
     def test_non_finite_validation_loss_names_epoch_and_clip(self, tiny_records,
-                                                              tmp_path):
+                                                              tmp_path,
+                                                              dispatch):
         bad = tiny_records[2]
         visemes = bad.viseme_stream.copy()
         visemes[0, 0] = np.nan
@@ -164,7 +167,8 @@ class TestTrainLoop:
         assert not (tmp_path / "best.ckpt").exists()
 
     def test_non_finite_stops_before_the_adam_step(self, tiny_records,
-                                                   tmp_path, monkeypatch):
+                                                   tmp_path, monkeypatch,
+                                                   dispatch):
         # A NaN put into a weight after the first step poisons the second
         # step's loss and gradients; training must stop before Adam sees them.
         seen = {}
@@ -203,7 +207,9 @@ class TestTrainLoop:
         # Each clip's backward root and model output are tracked through
         # their data arrays, which only the graph holds. Every earlier one
         # must be gone when the next clip's forward starts and at each
-        # zero_grad, so a step never holds two clips' graphs.
+        # zero_grad, so a step never holds two clips' graphs. The spies see
+        # only this process, so every clip runs here.
+        monkeypatch.setattr(workers, "worker_count", lambda n: 1)
         graphs, alive = [], []
         backward, zero_grad = ad.Tensor.backward, ad.Adam.zero_grad
         forward = UsevNet.forward
@@ -233,6 +239,51 @@ class TestTrainLoop:
         assert len(graphs) == 2 * 8
         # 4 zero_grads, 8 training and 8 validation forwards.
         assert alive == [0] * 20
+
+    def test_pool_writes_the_bytes_of_one_process(self, tiny_records,
+                                                  tmp_path, monkeypatch,
+                                                  started_pools):
+        # Batch 3 of 4 clips: the gradient sums show the clip order, and the
+        # last batch holds one clip.
+        cfg = TrainConfig(lr0=0.001, max_epochs=3, patience=8, batch_size=3,
+                          clip_truncate_s=0.5, loss="differentiated", seed=6)
+        written = {}
+        for mode, count in (("one", lambda n: 1), ("pool", lambda n: min(2, n))):
+            monkeypatch.setattr(workers, "worker_count", count)
+            out = tmp_path / mode
+            result = train(cfg, TINY_MODEL, tiny_records, tiny_records, out)
+            evaluate(result.best_checkpoint, tiny_records, out / "eval")
+            written[mode] = {str(p.relative_to(out)): p.read_bytes()
+                             for p in sorted(out.rglob("*")) if p.is_file()
+                             and p.name != "train_log.jsonl"}
+        assert len(started_pools) == 2  # the pooled train and evaluate
+        assert {"loss_log.txt", "best.ckpt", "eval/model/report.txt",
+                "eval/mixture/report.txt"} <= set(written["one"])
+        assert written["pool"] == written["one"]
+
+    def test_returned_model_holds_no_gradients(self, tiny_records, tmp_path):
+        cfg = TrainConfig(lr0=0.001, max_epochs=1, batch_size=2,
+                          clip_truncate_s=0.5, loss="uniform", seed=2)
+        result = train(cfg, TINY_MODEL, tiny_records, tiny_records, tmp_path)
+        assert all(p.grad is None for p in result.model.params.values())
+
+    @pytest.mark.parametrize("model_cfg", [TINY_MODEL, UsevConfig()])
+    def test_each_parameter_takes_one_gradient_per_clip(self, tiny_records,
+                                                        model_cfg, monkeypatch):
+        # train_step adds up whole per-clip gradients; that repeats one
+        # backward's in-place sums only while no parameter takes two.
+        net = UsevNet(model_cfg, seed=1)
+        taken = Counter()
+        acc = ad._acc
+
+        def counting(t, g):
+            taken[id(t)] += 1
+            acc(t, g)
+
+        monkeypatch.setattr(ad, "_acc", counting)
+        _clip_grads(TrainConfig(), 1.0, net, tiny_crops(tiny_records, 1)[0])
+        assert [taken[id(p)] for p in net.trainable_params()] == (
+            [1] * len(net.trainable_params()))
 
     @pytest.mark.parametrize("loss", LOSSES)
     @pytest.mark.parametrize("batch", [1, 2, 3, 5])

@@ -13,11 +13,12 @@ from usev import synth
 from usev.dsp import VISEME_FPS, energy, measure_snr_db
 from usev.mixsim import (MixtureSpec, SimConfig, apply_occlusion, corpus_stats,
                          iter_corpus, iter_overlapped_corpus, load_record,
-                         plan_clip, read_manifest, read_visemes, record_row,
-                         simulate_clip, simulate_general, write_corpus,
+                         plan_clip, read_manifest, read_records, read_visemes,
+                         record_row, simulate_clip, simulate_general, write_corpus,
                          write_manifest, write_visemes, _window_overlap)
-from usev.scenario import (classify_clip, clip_bucket, label_scenarios,
-                           overlap_bucket, overlap_ratio)
+from usev.scenario import (BUCKETS, KINDS, ScenarioTrack, classify_clip,
+                           clip_bucket, label_scenarios, overlap_bucket,
+                           overlap_ratio)
 from usev.synth import UtteranceBank, colored_noise, gen_utterance
 
 CFG = SimConfig()
@@ -491,6 +492,35 @@ class TestCorpusStats:
         assert report.clip_counts["TA"] == 1
         assert report.kind_hours["QQ"] == pytest.approx(4.0 / 3600.0)
         assert report.total_clips == 1
+
+    def test_written_corpus_stats_equal_the_track_counts(self, tmp_path):
+        # The per-kind hours add up each clip's durations() in corpus order,
+        # as corpus_stats did before it counted the manifest runs itself.
+        manifest = write_corpus(FAST, 6, seed=13, out_dir=tmp_path)
+        counts = dict.fromkeys(BUCKETS, 0)
+        hours = dict.fromkeys(KINDS, 0.0)
+        for rec in read_records(manifest):
+            counts[clip_bucket(rec.track)] += 1
+            for kind, samples in rec.track.durations().items():
+                hours[kind] += samples / rec.mixture.sample_rate / 3600.0
+        report = corpus_stats(manifest)
+        assert report.clip_counts == counts
+        assert report.kind_hours == hours
+        assert report.total_clips == 6
+
+    def test_read_records_keeps_the_row_check_track(self, tmp_path,
+                                                    monkeypatch):
+        manifest = write_corpus(FAST, 2, seed=9, out_dir=tmp_path)
+        built = []
+        from_triples = ScenarioTrack.from_triples.__func__
+
+        def counted(cls, triples, clip_len):
+            built.append(clip_len)
+            return from_triples(cls, triples, clip_len)
+
+        monkeypatch.setattr(ScenarioTrack, "from_triples", classmethod(counted))
+        records = read_records(manifest)
+        assert len(built) == len(records) == 2
 
     def test_empty_manifest(self, tmp_path):
         (tmp_path / "m.jsonl").write_text("")

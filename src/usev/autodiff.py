@@ -393,9 +393,11 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Tensor:
     When a step's recurrent GEMM reaches BILSTM_THREAD_MACS, direction 1
     runs that loop on a worker thread while the caller runs direction 0:
     the same numpy calls per direction into disjoint slices, so the results
-    are bit-identical. Gates and cell states are taped only when some input
-    needs a gradient. Backward runs BPTT by hand, then forms the input and
-    weight gradients with one GEMM per direction over the whole sequence.
+    are bit-identical. Each step writes its gates, c and tanh(c) into step
+    tapes when some input needs a gradient (the c tape opens with the zero
+    state), else into one reused slot. Backward runs BPTT by hand, then
+    forms the input and weight gradients with one GEMM per direction over
+    the whole sequence.
     """
     parents = tuple(_coerce(p) for p in (x, wx_f, wh_f, b_f, wx_b, wh_b, b_b))
     x = parents[0]
@@ -407,10 +409,10 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Tensor:
     b = np.stack([parents[3].data, parents[6].data])[:, None, :]  # [2, 1, 4H]
     xs = np.stack([xd, xd[::-1]])  # [2, T, batch, F], in step order
     taped = any(p.requires_grad for p in parents)
-    if taped:
-        gates = np.empty((2, t_len, batch, 4 * hidden))
-        cells = np.empty((2, t_len, batch, hidden))
-        tanh_cells = np.empty((2, t_len, batch, hidden))
+    slots = t_len if taped else 1
+    gates = np.empty((2, slots, batch, 4 * hidden))
+    cells = np.zeros((2, slots + taped, batch, hidden))
+    tanh_cells = np.empty((2, slots, batch, hidden))
     gi, gf, gg, go = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
     out = np.empty((t_len, batch, 2 * hidden))
     out_steps = (out[:, :, :hidden], out[::-1, :, hidden:])  # each in step order
@@ -418,22 +420,21 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Tensor:
     def run(ds: slice) -> None:
         writes = list(enumerate(out_steps[ds]))
         xs_d, wx_d, wh_d, b_d = xs[ds], wx[ds], wh[ds], b[ds]
-        h = c = np.zeros((len(writes), batch, hidden))
+        h = np.zeros((len(writes), batch, hidden))
         for s in range(t_len):
+            k = s if taped else 0
+            act, c, tanh_c = gates[ds, k], cells[ds, k + taped], tanh_cells[ds, k]
             z = np.matmul(xs_d[:, s], wx_d)
             z += np.matmul(h, wh_d)
             z += b_d
-            act = 1.0 / (1.0 + np.exp(-z))
-            act[..., gg] = np.tanh(z[..., gg])
-            c = act[..., gf] * c + act[..., gi] * act[..., gg]
-            tanh_c = np.tanh(c)
+            np.divide(1.0, 1.0 + np.exp(-z), out=act)
+            np.tanh(z[..., gg], out=act[..., gg])
+            np.multiply(act[..., gf], cells[ds, k], out=c)
+            c += act[..., gi] * act[..., gg]
+            np.tanh(c, out=tanh_c)
             h = act[..., go] * tanh_c
-            for k, o_steps in writes:
-                o_steps[s] = h[k]
-            if taped:
-                gates[ds, s] = act
-                cells[ds, s] = c
-                tanh_cells[ds, s] = tanh_c
+            for d, o_steps in writes:
+                o_steps[s] = h[d]
 
     if batch * hidden * 4 * hidden < BILSTM_THREAD_MACS:
         run(slice(0, 2))
@@ -447,13 +448,11 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b) -> Tensor:
         grad = grad.reshape(out.shape)
         d_out = np.stack([grad[:, :, :hidden], grad[::-1, :, hidden:]])
         i, f, g, o = (gates[..., k] for k in (gi, gf, gg, go))
-        c_prev = np.zeros_like(cells)
-        c_prev[:, 1:] = cells[:, :-1]
         # dZ = [dc, dc, dc, dh] * coef, gate by gate, with
         # dc = dc_next * f_next + dh * o * (1 - tanh(c)^2).
         coef = np.empty((2, t_len, batch, 4, hidden))
         coef[..., 0, :] = g * i * (1.0 - i)
-        coef[..., 1, :] = c_prev * f * (1.0 - f)
+        coef[..., 1, :] = cells[:, :-1] * f * (1.0 - f)  # c_{t-1}
         coef[..., 2, :] = i * (1.0 - g * g)
         coef[..., 3, :] = tanh_cells * o * (1.0 - o)
         d_cell = o * (1.0 - tanh_cells * tanh_cells)

@@ -39,9 +39,9 @@ def save_checkpoint(path, tensors: dict, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict, dict]:
-    """Returns (tensors as float64 arrays, metadata dict). A truncated or
-    malformed file, or one with bytes after the last tensor, raises
-    ValueError naming the file and the field."""
+    """Returns (tensors as read-only float64 views of the file's bytes,
+    metadata dict). A truncated or malformed file, or one with bytes after
+    the last tensor, raises ValueError naming the file and the field."""
     with open(path, "rb") as f:
         if f.read(8) != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
@@ -65,8 +65,7 @@ def load_checkpoint(path) -> tuple[dict, dict]:
                                   read_exact(f, 4 * ndim, path, f"{name} shape"))
             n_bytes = int(np.prod(shape, dtype=np.int64)) * 8
             payload = read_exact(f, n_bytes, path, f"{name} payload")
-            tensors[name] = np.frombuffer(payload, dtype="<f8") \
-                .astype(np.float64).reshape(shape)
+            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape)
         expect_end(f, path)
     return tensors, meta
 

@@ -26,8 +26,8 @@ def cmd_simulate(args) -> int:
     sim = cfgmod.load_config(args.config).sim
     occlusion = None
     if args.occlusion:
-        occlusion = _flag_value("--occlusion", lambda r: cfgmod.parse_numbers(r, 2),
-                                args.occlusion)
+        occlusion = _flag_value("--occlusion", lambda r: mixsim.check_occlusion_range(
+            *cfgmod.parse_numbers(r, 2)), args.occlusion)
     manifest = mixsim.write_corpus(sim, args.count, args.seed, args.out,
                                    occlusion=occlusion,
                                    overlapped=args.overlapped)

@@ -310,7 +310,7 @@ def save_model(path, model: UsevNet, extra_meta: dict | None = None) -> None:
     meta = {"model_config": model.cfg.__dict__}
     if extra_meta:
         meta.update(extra_meta)
-    save_checkpoint(path, model.state_dict(), meta)
+    save_checkpoint(path, {k: t.data for k, t in model.params.items()}, meta)
 
 
 def load_model(path) -> tuple[UsevNet, dict]:

@@ -202,12 +202,20 @@ def simulate_general(spec: MixtureSpec, corpus: UtteranceBank,
     )
 
 
+def check_occlusion_range(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi) when 0 <= lo <= hi <= 1; else a ValueError naming the bound."""
+    for name, frac in (("low", lo), ("high", hi)):
+        if not 0.0 <= frac <= 1.0:
+            raise ValueError(f"{name} occlusion fraction {frac} lies outside [0, 1]")
+    if lo > hi:
+        raise ValueError(f"low occlusion fraction {lo} exceeds the high one {hi}")
+    return lo, hi
+
+
 def apply_occlusion(record: MixtureRecord, seed,
                     occlusion_fraction_range) -> MixtureRecord:
     """Zero a contiguous span of viseme frames; audio stays intact."""
-    lo, hi = occlusion_fraction_range
-    if not 0.0 <= lo <= hi <= 1.0:
-        raise ValueError(f"occlusion fractions must lie in [0, 1], got {lo}, {hi}")
+    lo, hi = check_occlusion_range(*occlusion_fraction_range)
     rng = np.random.default_rng(seed)
     frac = float(rng.uniform(lo, hi)) if hi > lo else lo
     n_frames = record.viseme_stream.shape[0]
@@ -296,6 +304,9 @@ def _pick_shift(rng, ss, i_act, t_act, lo, hi):
 
 def _pick_utterance(rng, bank: UtteranceBank, min_len: int,
                     exclude_speakers=(), prefer: str | None = None) -> int | None:
+    # SimConfig keeps utterance_s[0] >= clip_s[1], so the length test always
+    # passes. It renders the bank on the first pick, on purpose: simulate cost
+    # then never follows the plan.
     pool = [i for i in range(len(bank))
             if bank.speaker_of(i) not in exclude_speakers
             and len(bank.get(i).clip) >= min_len]
@@ -689,10 +700,7 @@ def corpus_stats(manifest_path) -> StatsReport:
     for _, row, track in rows:
         counts[clip_bucket(track)] += 1
         sr = row["sample_rate"]
-        samples = dict.fromkeys(KINDS, 0)
-        for a, b, kind in row["track"]:  # int runs that tile the clip
-            samples[kind] += b - a
-        for kind in KINDS:
-            kind_samples[kind] += samples[kind] / sr / 3600.0
+        for kind, samples in track.durations().items():
+            kind_samples[kind] += samples / sr / 3600.0
     return StatsReport(clip_counts=counts, kind_hours=kind_samples,
                        total_clips=len(rows))

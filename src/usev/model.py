@@ -166,10 +166,6 @@ class UsevNet:
     def trainable_params(self) -> list[Tensor]:
         return [t for t in self.params.values() if t.requires_grad]
 
-    def param_count(self, trainable_only: bool = False) -> int:
-        return sum(t.size for t in self.params.values()
-                   if t.requires_grad or not trainable_only)
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: t.data.copy() for k, t in self.params.items()}
 

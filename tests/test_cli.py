@@ -50,7 +50,11 @@ def test_overlapped_with_occlusion_gives_param_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("raw,message", [
     ("0.2", "--occlusion '0.2': expected 2 comma-separated numbers"),
     ("a,b", "--occlusion 'a,b': could not convert string to float: 'a'"),
-], ids=["one-number", "not-numbers"])
+    ("0.6,0.2", "--occlusion '0.6,0.2': low occlusion fraction 0.6 exceeds "
+                "the high one 0.2"),
+    ("0.2,1.5", "--occlusion '0.2,1.5': high occlusion fraction 1.5 lies "
+                "outside [0, 1]"),
+], ids=["one-number", "not-numbers", "low-above-high", "high-above-one"])
 def test_malformed_occlusion_flag_gives_param_exit_code(tmp_path, capsys, raw,
                                                         message):
     out = tmp_path / "o"

@@ -9,7 +9,7 @@ import pytest
 
 from usev import autodiff as ad
 from usev import workers
-from usev.checkpoint import load_checkpoint
+from usev.checkpoint import load_checkpoint, save_checkpoint
 from usev.config import load_config
 from usev.dsp import VISEME_FPS, AudioClip
 from usev.harness import (DEFAULT_WEIGHT_GRID, LOSSES, TrainConfig,
@@ -357,6 +357,17 @@ class TestSaveLoadModel:
             assert t.data.tobytes() == saved[k].astype(np.float64).tobytes()
             assert t.data.tobytes() == net.params[k].data.tobytes()
             assert t.requires_grad == net.params[k].requires_grad
+
+    def test_save_writes_state_dict_bytes_and_load_is_writable(self, tmp_path):
+        net = UsevNet(TINY_MODEL, seed=10)
+        save_model(tmp_path / "a.ckpt", net, extra_meta={"epoch": 1})
+        meta = {"model_config": TINY_MODEL.__dict__, "epoch": 1}
+        save_checkpoint(tmp_path / "b.ckpt", net.state_dict(), meta)
+        assert ((tmp_path / "a.ckpt").read_bytes()
+                == (tmp_path / "b.ckpt").read_bytes())
+        back, _ = load_model(tmp_path / "a.ckpt")
+        for t in back.params.values():
+            assert t.data.flags.writeable and t.data.flags.owndata
 
 
 class TestEvaluate:

@@ -65,7 +65,7 @@ class TestLabelScenarios:
             t = rng.random(n) < 0.5
             i = rng.random(n) < 0.5
             track = label_scenarios(t, i)
-            again = label_scenarios(track.target_mask(), track.interference_mask())
+            again = label_scenarios(track.codes & 1, track.codes >= 2)
             assert again.to_triples() == track.to_triples()
 
     def test_durations_match_mask_counts(self):
@@ -177,8 +177,8 @@ class TestScenarioTrack:
         track = label_scenarios(t, i)
         assert track.codes.dtype == np.int8
         assert track.codes.tolist() == [0, 1, 3, 2, 0]
-        assert track.target_mask().tolist() == t.tolist()
-        assert track.interference_mask().tolist() == i.tolist()
+        assert (track.codes & 1).astype(bool).tolist() == t.tolist()
+        assert (track.codes >= 2).tolist() == i.tolist()
         assert track.durations() == {"QQ": 2, "SQ": 1, "SS": 1, "QS": 1}
 
     def test_kind_mask(self):
